@@ -9,6 +9,7 @@ those two primitives sit a materialized-affine oracle, matrix-free
 spectral algorithms, and a benchmark harness.
 """
 from .numerics import (
+    NonFiniteInput,
     ShapeMismatch,
     conv2d,
     conv2d_input_adjoint,

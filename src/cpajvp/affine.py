@@ -16,8 +16,8 @@ import numpy as np
 from . import numerics
 from .network import (
     Activation, Add, BatchNormInference, Concat, Conv2D, Dense, Dropout,
-    Flatten, FrozenState, GraphError, INPUT_ID, MaxPool, Network, Recurrent,
-    _evaluate, record_states, shape_infer,
+    BLOCK_WIDTH, Flatten, FrozenState, GraphError, INPUT_ID, MaxPool, Network,
+    Recurrent, _forward_pass, record_states, shape_infer,
 )
 
 
@@ -190,9 +190,9 @@ def materialize_affine_direct(net: Network, x: np.ndarray,
 
 def materialize_affine_via_rop(net: Network, x: np.ndarray,
                                budget: int = 10 ** 6) -> AffineMap:
-    """A and b of the region at x by probing the frozen replay:
-    column d of A is the linear replay of basis vector e_d, and b is
-    the affine replay of the zero input."""
+    """A and b of the region at x by probing the frozen replay: one pass
+    over the rows of [0; I], with the additive terms on the zero row
+    only. Row 0 comes out as b, row d + 1 as column d of A."""
     shapes = shape_infer(net)
     d_in = int(np.prod(net.input_shape))
     d_out = int(np.prod(shapes[net.output]))
@@ -200,17 +200,14 @@ def materialize_affine_via_rop(net: Network, x: np.ndarray,
         raise BudgetExceeded(f"slope needs {d_in * d_out} entries, "
                              f"budget is {budget}")
     _, state = record_states(net, x)
-    a = np.empty((d_out, d_in))
-    e = np.zeros(d_in)
-    for d in range(d_in):
-        e[d] = 1.0
-        out, _, _ = _evaluate(net, e.reshape(net.input_shape), state=state,
-                              record=False, bias=False)
-        a[:, d] = out.reshape(-1)
-        e[d] = 0.0
-    zero = np.zeros(tuple(net.input_shape))
-    out, _, _ = _evaluate(net, zero, state=state, record=False, bias=True)
-    return AffineMap(a=a, b=out.reshape(-1))
+    rows = []
+    for start in range(0, d_in + 1, BLOCK_WIDTH):
+        basis = np.eye(min(BLOCK_WIDTH, d_in + 1 - start), d_in, k=start - 1)
+        out, _ = _forward_pass(net, basis.reshape((-1,) + tuple(net.input_shape)),
+                               int(start == 0), state)
+        rows.append(out.reshape(len(basis), d_out))
+    ab = np.concatenate(rows)
+    return AffineMap(a=np.ascontiguousarray(ab[1:].T), b=ab[0].copy())
 
 
 def region_equal(net: Network, x: np.ndarray, y: np.ndarray) -> bool:

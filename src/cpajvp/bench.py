@@ -8,9 +8,10 @@ All three compute the same J u for the region at x:
 * double-vjp: realize the transposed map once, then exploit its
   linearity; the second transposition collapses to a single forward
   linear replay. One recording, one transposed, one linear pass.
-* clone: a single batched pass over [x, u, 0] with states taken from
-  the x slice; the product is the difference of the two branch outputs
-  and f(x) falls out of slice 0 for free.
+* clone: a single batched pass over [x, u] with states taken from the
+  x slice. Additive terms reach slice 0 only, so slice 1 comes out as
+  J u directly, with no difference of two affine outputs, and f(x)
+  falls out of slice 0 for free.
 
 The harness cross-checks the strategies against each other before any
 timing and refuses to produce numbers when they disagree.
@@ -25,9 +26,9 @@ from statistics import mean, median, pstdev
 import numpy as np
 
 from .affine import BudgetExceeded
-from .clone import _concat_pass, _state_shapes, _vjp_run
-from .network import Network, ShapeMismatch, _evaluate, as_f64, forward, \
-    record_states, shape_infer
+from .network import Network, _forward_pass, _single, _transposed_pass, \
+    forward, record_states, shape_infer
+from .numerics import check_finite
 
 
 class StrategyMismatch(RuntimeError):
@@ -71,21 +72,22 @@ def strategy_batch_jacobian(net: Network, x: np.ndarray, u: np.ndarray,
     _, state = record_states(net, x)
     if counts is not None:
         counts.forward += 1
-    shapes = _state_shapes(net, state)
-    out_shape = shapes[net.output]
+    out_shape = state.outputs[net.output].shape
     d_out = int(np.prod(out_shape))
     if d_out > row_budget:
         raise BudgetExceeded(f"{d_out} Jacobian rows exceed the row budget "
                              f"{row_budget}")
-    rows = np.empty((d_out, int(np.prod(state.input.shape))))
+    rows = np.empty((d_out, state.input.size))
     e = np.zeros(d_out)
     for i in range(d_out):
         e[i] = 1.0
-        rows[i] = _vjp_run(net, state, e.reshape(out_shape), shapes).reshape(-1)
+        rows[i] = _transposed_pass(net, state, e.reshape((1,) + out_shape)).reshape(-1)
         e[i] = 0.0
         if counts is not None:
             counts.transposed += 1
-    return (rows @ as_f64(u).reshape(-1)).reshape(out_shape)
+    u = _single(net, u, "direction")
+    check_finite(u, "direction")
+    return (rows @ u.reshape(-1)).reshape(out_shape)
 
 
 def strategy_double_vjp(net: Network, x: np.ndarray, u: np.ndarray,
@@ -98,26 +100,26 @@ def strategy_double_vjp(net: Network, x: np.ndarray, u: np.ndarray,
     _, state = record_states(net, x)
     if counts is not None:
         counts.forward += 1
-    shapes = _state_shapes(net, state)
-    probe = np.ones(shapes[net.output])
-    _vjp_run(net, state, probe, shapes)  # realizes the inner map
+    probe = np.ones((1,) + state.outputs[net.output].shape)
+    _transposed_pass(net, state, probe)  # realizes the inner map
     if counts is not None:
         counts.transposed += 1
-    out, _, _ = _evaluate(net, as_f64(u), state=state, record=False, bias=False)
+    out, _ = _forward_pass(net, _single(net, u, "direction"), 0, state)
     if counts is not None:
         counts.frozen += 1
-    return out
+    return out[0]
 
 
 def strategy_clone(net: Network, x: np.ndarray, u: np.ndarray,
                    counts: PassCounts | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """J u from one batched pass over [x, u, 0]; returns (J u, f(x)),
-    the network output being a free side product of the x slice."""
-    zero = np.zeros_like(as_f64(x))
-    fx, outs = _concat_pass(net, x, [as_f64(u), zero])
+    """J u from one batched pass over [x, u] with additive terms on the
+    x slice only; returns (J u, f(x)), the network output being a free
+    side product of the x slice."""
+    batch = np.concatenate([_single(net, x), _single(net, u, "direction")])
+    out, _ = _forward_pass(net, batch, 1)
     if counts is not None:
         counts.frozen += 1
-    return outs[0] - outs[1], fx
+    return out[1], out[0]
 
 
 _STRATEGIES = ("batch-jacobian", "double-vjp", "clone")

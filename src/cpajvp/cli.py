@@ -2,8 +2,8 @@
 
 Subcommands: jvp, vjp, jvp-weight, affine, eigen, svd, frobnorm, trace,
 bench, gen. Exit codes: 0 on success, 1 for usage errors, 2 for data or
-computation errors (bad files, shape mismatches, exceeded budgets,
-strategy disagreement).
+computation errors (bad files, shape mismatches, NaN or inf in inputs or
+weights, exceeded budgets, strategy disagreement).
 """
 from __future__ import annotations
 

@@ -2,23 +2,24 @@
 
 On the activation region of a recording input x the network is exactly
 affine, f(v) = A v + b. Replaying the recorded states in affine mode
-evaluates that map; replaying with every additive term zeroed (linear
+evaluates that map; replaying with every additive term left out (linear
 mode) evaluates v -> A v, which is the Jacobian-vector product. The
 transposed replay walks the graph backwards and evaluates v -> A^T v.
 None of this touches derivatives symbolically: each pass is an ordinary
-forward or reverse sweep with the nonlinearity decisions pinned.
+forward or reverse sweep of the batched engine with the nonlinearity
+decisions pinned.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from . import numerics
 from .network import (
-    Activation, Add, BatchNormInference, Concat, Conv2D, Dense, Dropout,
-    Flatten, FrozenState, GraphError, INPUT_ID, MaxPool, Network, Recurrent,
-    ShapeMismatch, _evaluate, _layer_apply, _leak_factor, as_f64,
-    dropout_mask, record_states, validate,
+    FrozenState, GraphError, Network, ShapeMismatch, _forward_pass,
+    _single, _transposed_pass, as_f64, record_states, validate,
 )
+from .numerics import check_finite
 
 
 def _check_state(net: Network, state: FrozenState) -> None:
@@ -33,101 +34,26 @@ def _check_state(net: Network, state: FrozenState) -> None:
 
 
 def frozen_forward(net: Network, state: FrozenState, v: np.ndarray,
-                   mode: str = "affine", return_values: bool = False):
+                   mode: str = "affine") -> np.ndarray:
     """Replay the recorded region on a new input.
 
     mode "affine" evaluates A v + b (all biases kept); mode "linear"
-    zeroes every additive term and evaluates A v. At v = state.input in
-    affine mode this reproduces the recorded forward bitwise.
+    leaves every additive term out and evaluates A v. At v = state.input
+    in affine mode this reproduces the recorded forward bitwise.
     """
     if mode not in ("affine", "linear"):
         raise ValueError(f"mode must be 'affine' or 'linear', got {mode!r}")
     validate(net)
     _check_state(net, state)
-    out, values, _ = _evaluate(net, v, state=state, record=False,
-                               bias=(mode == "affine"))
-    if return_values:
-        return out, values
-    return out
+    out, _ = _forward_pass(net, _single(net, v), int(mode == "affine"), state)
+    return out[0]
 
 
 def jvp_input(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Jacobian-vector product J_f(x) u via one frozen linear replay."""
     _, state = record_states(net, x)
-    out, _, _ = _evaluate(net, u, state=state, record=False, bias=False)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# transposed replay
-
-def _adjoint_one(node, g: np.ndarray, state: FrozenState,
-                 in_shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Cotangents on the node inputs given cotangent g on its output."""
-    lay = node.layer
-    nid = node.id
-    if isinstance(lay, Dense):
-        return [lay.weights.T @ g]
-    if isinstance(lay, Conv2D):
-        return [numerics.conv2d_input_adjoint(g, lay.filters, lay.stride,
-                                              lay.padding, in_shapes[0])]
-    if isinstance(lay, Activation):
-        return [g * _leak_factor(state.sign_masks[nid], lay.leakiness)]
-    if isinstance(lay, MaxPool):
-        idx = state.argmax_indices[nid]
-        buf = np.zeros(int(np.prod(in_shapes[0])))
-        np.add.at(buf, idx.reshape(-1), g.reshape(-1))
-        return [buf.reshape(in_shapes[0])]
-    if isinstance(lay, Dropout):
-        if not lay.training:
-            return [g]
-        return [g * (state.keep_masks[nid] / (1.0 - lay.rate))]
-    if isinstance(lay, BatchNormInference):
-        return [g * (lay.gamma / np.sqrt(lay.running_var + lay.epsilon))]
-    if isinstance(lay, Flatten):
-        return [g.reshape(in_shapes[0])]
-    if isinstance(lay, Add):
-        return [g for _ in in_shapes]
-    if isinstance(lay, Concat):
-        ax = lay.axis % len(in_shapes[0])
-        splits = np.cumsum([s[ax] for s in in_shapes[:-1]])
-        return list(np.split(g, splits, axis=ax))
-    if isinstance(lay, Recurrent):
-        masks = state.sign_masks[nid]
-        steps, d_in = in_shapes[0]
-        xt = np.empty((steps, d_in))
-        gh = g
-        for t in range(lay.steps - 1, -1, -1):
-            a = gh * _leak_factor(masks[t], lay.leakiness)
-            xt[t] = lay.w_input.T @ a
-            gh = lay.w_hidden.T @ a
-        return [xt]
-    raise GraphError(f"node {nid!r}: unknown layer {type(lay).__name__}")
-
-
-def _state_shapes(net: Network, state: FrozenState) -> dict[str, tuple[int, ...]]:
-    shapes = {INPUT_ID: state.input.shape}
-    for n in net.nodes:
-        shapes[n.id] = state.outputs[n.id].shape
-    return shapes
-
-
-def _vjp_run(net: Network, state: FrozenState, v: np.ndarray,
-             shapes: dict[str, tuple[int, ...]]) -> np.ndarray:
-    cot: dict[str, np.ndarray] = {net.output: v}
-    for node in reversed(net.nodes):
-        g = cot.pop(node.id, None)
-        if g is None:
-            continue  # node does not feed the output
-        parts = _adjoint_one(node, g, state, [shapes[r] for r in node.inputs])
-        for ref, part in zip(node.inputs, parts):
-            if ref in cot:
-                cot[ref] = cot[ref] + part
-            else:
-                cot[ref] = part
-    if INPUT_ID in cot:
-        return cot[INPUT_ID]
-    return np.zeros(state.input.shape)
+    out, _ = _forward_pass(net, _single(net, u, "direction"), 0, state)
+    return out[0]
 
 
 def frozen_vjp(net: Network, state: FrozenState, v: np.ndarray) -> np.ndarray:
@@ -139,7 +65,7 @@ def frozen_vjp(net: Network, state: FrozenState, v: np.ndarray) -> np.ndarray:
     if v.shape != out_shape:
         raise ShapeMismatch(f"cotangent shape {v.shape} does not match "
                             f"output {out_shape}")
-    return _vjp_run(net, state, v, _state_shapes(net, state))
+    return _transposed_pass(net, state, v[None])[0]
 
 
 def vjp_input(net: Network, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -156,136 +82,55 @@ def jvp_weight(net: Network, x: np.ndarray, node_id: str,
     """Derivative of the output in a weight direction U at one node.
 
     With the region frozen, the output is linear in the node's weight,
-    so the product is one replay: the target node applies U with zero
-    bias to its recorded input, everything downstream runs in linear
-    mode, and branches that bypass the target contribute nothing.
+    so the product is one clone pass over [x, 0]: slice 0 records the
+    region, and at the target node slice 1 becomes U applied, with no
+    bias, to the node's input on slice 0. Downstream, slice 1 is linear,
+    and branches that bypass the target carry zeros. The region is slice
+    0's; at a pre-activation within rounding of 0 it may differ from
+    record_states' region at x alone.
     """
     validate(net)
     target = next((n for n in net.nodes if n.id == node_id), None)
     if target is None:
         raise GraphError(f"no node named {node_id!r}")
-    if not isinstance(target.layer, (Dense, Conv2D)):
+    name = getattr(target.layer, "weight_field", None)
+    if name is None:
         raise GraphError(f"node {node_id!r} is {type(target.layer).__name__}, "
                          f"weight directions need a Dense or Conv2D node")
     direction = as_f64(direction)
-    ref_shape = (target.layer.weights.shape if isinstance(target.layer, Dense)
-                 else target.layer.filters.shape)
+    ref_shape = getattr(target.layer, name).shape
     if direction.shape != ref_shape:
         raise ShapeMismatch(f"direction {direction.shape} does not match "
                             f"node {node_id!r} weights {ref_shape}")
-    _, state = record_states(net, x)
-    values: dict[str, np.ndarray] = {INPUT_ID: np.zeros(tuple(net.input_shape))}
-    for node in net.nodes:
-        if node.id == node_id:
-            ref = node.inputs[0]
-            z = state.input if ref == INPUT_ID else state.outputs[ref]
-            if isinstance(node.layer, Dense):
-                values[node.id] = direction @ z
-            else:
-                values[node.id] = numerics.conv2d(z, direction,
-                                                  node.layer.stride,
-                                                  node.layer.padding)
-        else:
-            values[node.id] = _layer_apply(node, [values[r] for r in node.inputs],
-                                           bias=False, state=state, sink=None)
-    return values[net.output]
+    check_finite(direction, "direction")
+    tangent = replace(target.layer, **{name: direction})
+
+    def add_tangent(out, ins):
+        out[1:] = tangent.apply(node_id, [ins[0][:1]], 0, None, False)
+        return out
+
+    x = _single(net, x)
+    out, _ = _forward_pass(net, np.concatenate([x, np.zeros_like(x)]), 1,
+                           patch={node_id: add_tangent})
+    return out[1]
 
 
 # ---------------------------------------------------------------------------
 # batched directions
 
 def jvp_batch(net: Network, x: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Columns of J u_i for a (d_in, m) direction matrix, sharing one
-    state recording. Returns a (d_out, m) matrix."""
+    """Columns of J u_i for a (d_in, m) direction matrix, from one state
+    recording and one single-vector replay per column, so every column
+    is bitwise equal to jvp_input. Returns a (d_out, m) matrix."""
     directions = as_f64(directions)
     d_in = int(np.prod(net.input_shape))
     if directions.ndim != 2 or directions.shape[0] != d_in:
         raise ShapeMismatch(f"directions must be ({d_in}, m), got {directions.shape}")
     _, state = record_states(net, x)
-    cols = []
-    for j in range(directions.shape[1]):
-        u = directions[:, j].reshape(net.input_shape)
-        out, _, _ = _evaluate(net, u, state=state, record=False, bias=False)
-        cols.append(out.reshape(-1))
-    if not cols:
-        return np.zeros((int(np.prod(state.outputs[net.output].shape)), 0))
-    return np.stack(cols, axis=1)
-
-
-# ---------------------------------------------------------------------------
-# batched clone pass
-
-def _batched_apply(node, ins: list[np.ndarray]) -> np.ndarray:
-    """One node over a stacked batch, states taken from slice 0 and
-    shared across all slices."""
-    lay = node.layer
-    nid = node.id
-    b = ins[0].shape[0]
-    if isinstance(lay, Dense):
-        return ins[0] @ lay.weights.T + lay.bias
-    if isinstance(lay, Conv2D):
-        v = ins[0]
-        merged = v.reshape((b * v.shape[1],) + v.shape[2:])
-        out = numerics.conv2d(merged, lay.filters, lay.stride, lay.padding)
-        return out.reshape((b, v.shape[1]) + out.shape[1:]) + lay.bias
-    if isinstance(lay, Activation):
-        h = ins[0]
-        mask = h[0] >= 0
-        return h * _leak_factor(mask, lay.leakiness)[None]
-    if isinstance(lay, MaxPool):
-        v = ins[0]
-        stride = lay.stride if lay.stride is not None else lay.ksize
-        _, idx = numerics.maxpool_argmax(v[0], lay.ksize, stride, lay.padding)
-        flat = v.reshape(b, -1)
-        return flat[:, idx.reshape(-1)].reshape((b,) + idx.shape)
-    if isinstance(lay, Dropout):
-        v = ins[0]
-        if not lay.training:
-            return v
-        keep = dropout_mask(lay.seed, nid, v.shape[1:], lay.rate)
-        return v * (keep / (1.0 - lay.rate))[None]
-    if isinstance(lay, BatchNormInference):
-        v = ins[0]
-        return lay.gamma * (v - lay.running_mean) / np.sqrt(
-            lay.running_var + lay.epsilon) + lay.beta
-    if isinstance(lay, Flatten):
-        return ins[0].reshape(b, -1)
-    if isinstance(lay, Add):
-        out = ins[0]
-        for v in ins[1:]:
-            out = out + v
-        return out
-    if isinstance(lay, Concat):
-        return np.concatenate(ins, axis=lay.axis % (ins[0].ndim - 1) + 1)
-    if isinstance(lay, Recurrent):
-        x = ins[0]
-        hid = lay.w_hidden.shape[0]
-        h = np.zeros((b, hid))
-        for t in range(lay.steps):
-            pre = h @ lay.w_hidden.T + x[:, t, :] @ lay.w_input.T + lay.bias
-            mask = pre[0] >= 0
-            h = pre * _leak_factor(mask, lay.leakiness)[None]
-        return h
-    raise GraphError(f"node {nid!r}: unknown layer {type(lay).__name__}")
-
-
-def _concat_pass(net: Network, x: np.ndarray,
-                 branches: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    x = as_f64(x)
-    if x.shape != tuple(net.input_shape):
-        raise ShapeMismatch(f"input shape {x.shape} does not match network "
-                            f"input {tuple(net.input_shape)}")
-    stack = [x]
-    for i, br in enumerate(branches):
-        br = as_f64(br)
-        if br.shape != x.shape:
-            raise ShapeMismatch(f"branch {i} has shape {br.shape}, expected {x.shape}")
-        stack.append(br)
-    values: dict[str, np.ndarray] = {INPUT_ID: np.stack(stack)}
-    for node in net.nodes:
-        values[node.id] = _batched_apply(node, [values[r] for r in node.inputs])
-    out = values[net.output]
-    return out[0], [out[i] for i in range(1, len(stack))]
+    out = np.empty((state.outputs[net.output].size, directions.shape[1]))
+    for j, u in enumerate(directions.T):
+        out[:, j] = _forward_pass(net, u.reshape(state.input.shape)[None], 0, state)[0].ravel()
+    return out
 
 
 def concat_clone_forward(net: Network, x: np.ndarray,
@@ -300,5 +145,12 @@ def concat_clone_forward(net: Network, x: np.ndarray,
     validate(net)
     if not branches:
         raise ValueError("concat_clone_forward needs at least one branch")
-    _, outs = _concat_pass(net, x, list(branches))
-    return outs
+    stack = [_single(net, x)[0]]
+    for i, br in enumerate(branches):
+        br = as_f64(br)
+        if br.shape != stack[0].shape:
+            raise ShapeMismatch(f"branch {i} has shape {br.shape}, expected "
+                                f"{stack[0].shape}")
+        stack.append(br)
+    out, _ = _forward_pass(net, np.stack(stack), len(stack))
+    return list(out[1:])

@@ -1,4 +1,4 @@
-"""Layer graph definition, forward evaluation, and state recording.
+"""Layer graph definition, the batched pass engine, and state recording.
 
 A Network is a DAG of layer nodes listed in topological order. The
 reserved id "input" names the network input. Layers come in two kinds:
@@ -6,6 +6,14 @@ affine (dense, conv, batch-norm inference, flatten, add, concat) and
 state-driven nonlinearities (leaky activation, max pool, training-mode
 dropout). Recording the nonlinearity states at an input freezes the
 piecewise-affine region, which is what every frozen pass replays.
+
+Each layer kind is defined once, by methods on its spec that work on a
+leading batch axis: ``infer`` (output shape), ``apply`` (forward step)
+and ``transpose`` (adjoint step on a frozen region). On a region every
+layer is diag(q) W plus an additive term, which ``apply`` adds to the
+first ``n_aff`` slices only; a nonlinearity without a frozen state takes
+its decision from slice 0 and applies it to every slice. One forward and
+one transposed engine over these methods serve every pass.
 """
 from __future__ import annotations
 
@@ -16,9 +24,13 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .numerics import ShapeMismatch, as_f64
+from .numerics import ShapeMismatch, as_f64, check_finite
 
 INPUT_ID = "input"
+
+BLOCK_WIDTH = 1024
+"""Most slices one engine pass carries; wider blocks run in several
+passes, so memory stays bounded for large d_in or sample counts."""
 
 
 class GraphError(ValueError):
@@ -27,11 +39,63 @@ class GraphError(ValueError):
 
 # ---------------------------------------------------------------------------
 # layer specs
+#
+# infer(nid, shapes) gives the output shape from per-sample input shapes.
+# apply(nid, ins, n_aff, state, record) maps input batches to an output
+# batch; with record it stores its decisions, taken from slice 0, in state.
+# transpose(nid, g, state, shapes) gives the cotangent batch of each input.
+
+def _add_affine(out: np.ndarray, term, n_aff: int) -> np.ndarray:
+    """out with an additive term on its first n_aff slices."""
+    if n_aff >= len(out):
+        return out + term
+    if n_aff:
+        out[:n_aff] += term
+    return out
+
+
+class _Elementwise:
+    """Layers that scale each entry on a region: the frozen map is a
+    diagonal, so the transpose is the linear apply itself."""
+
+    def infer(self, nid, shapes):
+        return shapes[0]
+
+    def transpose(self, nid, g, state, shapes):
+        return [self.apply(nid, [g], 0, state, False)]
+
 
 @dataclass(frozen=True)
 class Dense:
     weights: np.ndarray  # (d_out, d_in)
     bias: np.ndarray     # (d_out,)
+    weight_field = "weights"
+
+    def infer(self, nid, shapes):
+        (s,) = shapes
+        w = self.weights
+        if len(s) != 1 or w.ndim != 2 or w.shape[1] != s[0]:
+            raise ShapeMismatch(
+                f"node {nid!r}: dense weights {w.shape} cannot consume input {s}")
+        if self.bias.shape != (w.shape[0],):
+            raise ShapeMismatch(
+                f"node {nid!r}: bias {self.bias.shape} does not match {w.shape[0]} outputs")
+        return (w.shape[0],)
+
+    def apply(self, nid, ins, n_aff, state, record):
+        (v,) = ins
+        if v.ndim != 2 or v.shape[1] != self.weights.shape[1]:
+            raise ShapeMismatch(f"node {nid!r}: dense expects "
+                                f"({self.weights.shape[1]},), got {v.shape[1:]}")
+        return _add_affine(v.dot(self.weights.T), self.bias, n_aff)
+
+    def transpose(self, nid, g, state, shapes):
+        return [g.dot(self.weights)]
+
+
+def _merge(a: np.ndarray) -> np.ndarray:
+    """Fold the batch axis into an NHWC tensor's own leading axis."""
+    return a.reshape((-1,) + a.shape[2:])
 
 
 @dataclass(frozen=True)
@@ -40,12 +104,47 @@ class Conv2D:
     bias: np.ndarray     # (F,)
     stride: tuple[int, int] = (1, 1)
     padding: str = "valid"
+    weight_field = "filters"
+
+    def infer(self, nid, shapes):
+        (s,) = shapes
+        if len(s) != 4:
+            raise ShapeMismatch(f"node {nid!r}: conv input must be NHWC, got {s}")
+        out = numerics.conv2d_output_shape(s, self.filters.shape, self.stride,
+                                           self.padding)
+        if self.bias.shape != (self.filters.shape[3],):
+            raise ShapeMismatch(
+                f"node {nid!r}: bias {self.bias.shape} does not match "
+                f"{self.filters.shape[3]} filters")
+        return out
+
+    def apply(self, nid, ins, n_aff, state, record):
+        (v,) = ins
+        out = numerics.conv2d(_merge(v), self.filters, self.stride, self.padding)
+        return _add_affine(out.reshape(v.shape[:2] + out.shape[1:]), self.bias, n_aff)
+
+    def transpose(self, nid, g, state, shapes):
+        (s,) = shapes
+        gi = numerics.conv2d_input_adjoint(_merge(g), self.filters, self.stride,
+                                           self.padding, (len(g) * s[0],) + s[1:])
+        return [gi.reshape((len(g),) + s)]
 
 
 @dataclass(frozen=True)
-class Activation:
+class Activation(_Elementwise):
     """Elementwise max(h, leakiness * h); leakiness 0 is relu, -1 is abs."""
     leakiness: float = 0.0
+
+    def apply(self, nid, ins, n_aff, state, record):
+        (h,) = ins
+        if record:
+            mask = state.sign_masks[nid] = h[0] >= 0
+        else:
+            mask = state.sign_masks[nid]
+            if mask.shape != h.shape[1:]:
+                raise ShapeMismatch(f"node {nid!r}: recorded mask {mask.shape} "
+                                    f"vs value {h.shape[1:]}")
+        return np.where(mask, h, h * self.leakiness)
 
 
 @dataclass(frozen=True)
@@ -54,9 +153,32 @@ class MaxPool:
     stride: Optional[tuple[int, int]] = None  # defaults to ksize
     padding: str = "valid"
 
+    def infer(self, nid, shapes):
+        (s,) = shapes
+        if len(s) != 4:
+            raise ShapeMismatch(f"node {nid!r}: maxpool input must be NHWC, got {s}")
+        stride = self.ksize if self.stride is None else self.stride
+        return numerics.maxpool_output_shape(s, self.ksize, stride, self.padding)
+
+    def apply(self, nid, ins, n_aff, state, record):
+        (v,) = ins
+        if record:
+            _, state.argmax_indices[nid] = numerics.maxpool_argmax(
+                v[0], self.ksize, self.stride, self.padding)
+        idx = state.argmax_indices[nid]
+        return v.reshape(len(v), -1)[:, idx.reshape(-1)].reshape((len(v),) + idx.shape)
+
+    def transpose(self, nid, g, state, shapes):
+        (s,) = shapes
+        size = int(np.prod(s))
+        rows = state.argmax_indices[nid].reshape(1, -1) + size * np.arange(len(g))[:, None]
+        buf = np.bincount(rows.reshape(-1), weights=g.reshape(-1),
+                          minlength=len(g) * size)
+        return [buf.reshape((len(g),) + s)]
+
 
 @dataclass(frozen=True)
-class Dropout:
+class Dropout(_Elementwise):
     """Inference mode is the identity; training mode applies a fixed
     keep mask drawn from a counter-based generator keyed by (seed,
     node id), so the mask is reproducible across passes."""
@@ -64,29 +186,97 @@ class Dropout:
     training: bool = False
     seed: int = 0
 
+    def apply(self, nid, ins, n_aff, state, record):
+        (v,) = ins
+        if not self.training:
+            return v
+        if record:
+            state.keep_masks[nid] = dropout_mask(self.seed, nid, v.shape[1:], self.rate)
+        return v * (state.keep_masks[nid] / (1.0 - self.rate))
+
 
 @dataclass(frozen=True)
-class BatchNormInference:
+class BatchNormInference(_Elementwise):
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
     epsilon: float = 1e-5
 
+    def infer(self, nid, shapes):
+        (s,) = shapes
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            arr = getattr(self, name)
+            if arr.shape != (s[-1],):
+                raise ShapeMismatch(
+                    f"node {nid!r}: {name} {arr.shape} does not match "
+                    f"feature axis of length {s[-1]}")
+        return s
+
+    def apply(self, nid, ins, n_aff, state, record):
+        (v,) = ins
+        root = np.sqrt(self.running_var + self.epsilon)
+        if n_aff >= len(v):
+            return self.gamma * (v - self.running_mean) / root + self.beta
+        out = v * (self.gamma / root)
+        if n_aff:
+            # affine slices keep the plain formula's rounding, as in forward
+            out[:n_aff] = self.gamma * (v[:n_aff] - self.running_mean) / root + self.beta
+        return out
+
 
 @dataclass(frozen=True)
 class Flatten:
-    pass
+    def infer(self, nid, shapes):
+        return (int(np.prod(shapes[0])),)
+
+    def apply(self, nid, ins, n_aff, state, record):
+        return ins[0].reshape(len(ins[0]), -1)
+
+    def transpose(self, nid, g, state, shapes):
+        return [g.reshape((len(g),) + shapes[0])]
 
 
 @dataclass(frozen=True)
 class Add:
-    pass
+    def infer(self, nid, shapes):
+        for s in shapes[1:]:
+            if s != shapes[0]:
+                raise ShapeMismatch(f"node {nid!r}: add inputs {shapes[0]} vs {s}")
+        return shapes[0]
+
+    def apply(self, nid, ins, n_aff, state, record):
+        out = ins[0]
+        for v in ins[1:]:
+            out = out + v
+        return out
+
+    def transpose(self, nid, g, state, shapes):
+        return [g] * len(shapes)
 
 
 @dataclass(frozen=True)
 class Concat:
     axis: int
+
+    def infer(self, nid, shapes):
+        first = shapes[0]
+        if not -len(first) <= self.axis < len(first):
+            raise ShapeMismatch(f"node {nid!r}: concat axis {self.axis} out of "
+                                f"range for {first}")
+        ax = self.axis % len(first)
+        for s in shapes:
+            if len(s) != len(first) or s[:ax] != first[:ax] or s[ax + 1:] != first[ax + 1:]:
+                raise ShapeMismatch(f"node {nid!r}: concat inputs {first} vs {s} "
+                                    f"disagree off axis {ax}")
+        return first[:ax] + (sum(s[ax] for s in shapes),) + first[ax + 1:]
+
+    def apply(self, nid, ins, n_aff, state, record):
+        return np.concatenate(ins, axis=self.axis % (ins[0].ndim - 1) + 1)
+
+    def transpose(self, nid, g, state, shapes):
+        ax = self.axis % len(shapes[0])
+        return np.split(g, np.cumsum([s[ax] for s in shapes[:-1]]), axis=ax + 1)
 
 
 @dataclass(frozen=True)
@@ -101,6 +291,46 @@ class Recurrent:
     bias: np.ndarray      # (hidden,)
     leakiness: float
     steps: int
+
+    def infer(self, nid, shapes):
+        (s,) = shapes
+        hid = self.w_hidden.shape[0]
+        if self.w_hidden.shape != (hid, hid):
+            raise ShapeMismatch(f"node {nid!r}: w_hidden {self.w_hidden.shape} not square")
+        if len(s) != 2 or s[0] != self.steps or self.w_input.shape != (hid, s[1]):
+            raise ShapeMismatch(
+                f"node {nid!r}: recurrent expects input ({self.steps}, "
+                f"{self.w_input.shape[1] if self.w_input.ndim == 2 else '?'}), got {s}")
+        if self.bias.shape != (hid,):
+            raise ShapeMismatch(f"node {nid!r}: bias {self.bias.shape} vs hidden {hid}")
+        return (hid,)
+
+    def apply(self, nid, ins, n_aff, state, record):
+        (x,) = ins
+        hid = self.w_hidden.shape[0]
+        # input drive w_input @ x_t (+ bias) for every step in one product
+        drive = x.reshape(-1, x.shape[2]).dot(self.w_input.T).reshape(x.shape[:2] + (hid,))
+        drive = _add_affine(drive, self.bias, n_aff)
+        if record:
+            state.sign_masks[nid] = np.empty((self.steps, hid), dtype=bool)
+        masks = state.sign_masks[nid]
+        h = np.zeros((len(x), hid))
+        for t in range(self.steps):
+            pre = h.dot(self.w_hidden.T) + drive[:, t]
+            if record:
+                masks[t] = pre[0] >= 0
+            h = np.where(masks[t], pre, pre * self.leakiness)
+        return h
+
+    def transpose(self, nid, g, state, shapes):
+        masks = state.sign_masks[nid]
+        b = len(g)
+        drive = np.empty((b, self.steps, self.w_hidden.shape[0]))
+        for t in range(self.steps - 1, -1, -1):
+            drive[:, t] = np.where(masks[t], g, g * self.leakiness)
+            g = drive[:, t].dot(self.w_hidden)
+        gx = drive.reshape(b * self.steps, -1).dot(self.w_input)
+        return [gx.reshape((b,) + shapes[0])]
 
 
 LayerSpec = (Dense, Conv2D, Activation, MaxPool, Dropout, BatchNormInference,
@@ -167,89 +397,12 @@ def validate(net: Network) -> None:
             raise GraphError(f"node {node.id!r}: steps must be >= 1")
 
 
-def _infer_one(node: Node, in_shapes: list[tuple[int, ...]]) -> tuple[int, ...]:
-    lay = node.layer
-    nid = node.id
-    if isinstance(lay, Dense):
-        (s,) = in_shapes
-        w = lay.weights
-        if len(s) != 1 or w.ndim != 2 or w.shape[1] != s[0]:
-            raise ShapeMismatch(
-                f"node {nid!r}: dense weights {w.shape} cannot consume input {s}")
-        if lay.bias.shape != (w.shape[0],):
-            raise ShapeMismatch(
-                f"node {nid!r}: bias {lay.bias.shape} does not match {w.shape[0]} outputs")
-        return (w.shape[0],)
-    if isinstance(lay, Conv2D):
-        (s,) = in_shapes
-        if len(s) != 4:
-            raise ShapeMismatch(f"node {nid!r}: conv input must be NHWC, got {s}")
-        out = numerics.conv2d_output_shape(s, lay.filters.shape, lay.stride, lay.padding)
-        if lay.bias.shape != (lay.filters.shape[3],):
-            raise ShapeMismatch(
-                f"node {nid!r}: bias {lay.bias.shape} does not match "
-                f"{lay.filters.shape[3]} filters")
-        return out
-    if isinstance(lay, MaxPool):
-        (s,) = in_shapes
-        if len(s) != 4:
-            raise ShapeMismatch(f"node {nid!r}: maxpool input must be NHWC, got {s}")
-        stride = lay.stride if lay.stride is not None else lay.ksize
-        return numerics.maxpool_output_shape(s, lay.ksize, stride, lay.padding)
-    if isinstance(lay, (Activation, Dropout)):
-        return in_shapes[0]
-    if isinstance(lay, BatchNormInference):
-        (s,) = in_shapes
-        feat = s[-1]
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            arr = getattr(lay, name)
-            if arr.shape != (feat,):
-                raise ShapeMismatch(
-                    f"node {nid!r}: {name} {arr.shape} does not match "
-                    f"feature axis of length {feat}")
-        return s
-    if isinstance(lay, Flatten):
-        return (int(np.prod(in_shapes[0])),)
-    if isinstance(lay, Add):
-        first = in_shapes[0]
-        for s in in_shapes[1:]:
-            if s != first:
-                raise ShapeMismatch(f"node {nid!r}: add inputs {first} vs {s}")
-        return first
-    if isinstance(lay, Concat):
-        first = in_shapes[0]
-        ax = lay.axis
-        if not -len(first) <= ax < len(first):
-            raise ShapeMismatch(f"node {nid!r}: concat axis {ax} out of range for {first}")
-        ax %= len(first)
-        total = 0
-        for s in in_shapes:
-            if len(s) != len(first) or s[:ax] != first[:ax] or s[ax + 1:] != first[ax + 1:]:
-                raise ShapeMismatch(f"node {nid!r}: concat inputs {first} vs {s} "
-                                    f"disagree off axis {ax}")
-            total += s[ax]
-        return first[:ax] + (total,) + first[ax + 1:]
-    if isinstance(lay, Recurrent):
-        (s,) = in_shapes
-        hid = lay.w_hidden.shape[0]
-        if lay.w_hidden.shape != (hid, hid):
-            raise ShapeMismatch(f"node {nid!r}: w_hidden {lay.w_hidden.shape} not square")
-        if len(s) != 2 or s[0] != lay.steps or lay.w_input.shape != (hid, s[1]):
-            raise ShapeMismatch(
-                f"node {nid!r}: recurrent expects input ({lay.steps}, "
-                f"{lay.w_input.shape[1] if lay.w_input.ndim == 2 else '?'}), got {s}")
-        if lay.bias.shape != (hid,):
-            raise ShapeMismatch(f"node {nid!r}: bias {lay.bias.shape} vs hidden {hid}")
-        return (hid,)
-    raise GraphError(f"node {nid!r}: unknown layer {type(lay).__name__}")
-
-
 def shape_infer(net: Network) -> dict[str, tuple[int, ...]]:
     """Shapes of every node output, keyed by node id. Validates the graph."""
     validate(net)
     shapes: dict[str, tuple[int, ...]] = {INPUT_ID: tuple(net.input_shape)}
     for node in net.nodes:
-        shapes[node.id] = _infer_one(node, [shapes[r] for r in node.inputs])
+        shapes[node.id] = node.layer.infer(node.id, [shapes[r] for r in node.inputs])
     return shapes
 
 
@@ -276,8 +429,8 @@ class FrozenState:
                 (recurrent nodes store a (steps, hidden) stack);
     argmax_indices: max-pool winners as flat offsets into the node input;
     keep_masks: training-mode dropout keep masks;
-    outputs: every node's recorded output, used by weight-direction
-             products and shape checks.
+    outputs: every node's recorded output, used by the transposed
+             engine and shape checks.
     """
     input: np.ndarray
     outputs: dict[str, np.ndarray]
@@ -286,136 +439,97 @@ class FrozenState:
     keep_masks: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _leak_factor(mask: np.ndarray, leakiness: float) -> np.ndarray:
-    return np.where(mask, 1.0, leakiness)
+# ---------------------------------------------------------------------------
+# the two engines
 
-
-def _layer_apply(node: Node, ins: list[np.ndarray], *, bias: bool,
-                 state: FrozenState | None, sink: FrozenState | None) -> np.ndarray:
-    """One node in one pass. With state=None the nonlinearity states are
-    computed fresh (and recorded into sink if given); otherwise the
-    frozen states are replayed. bias=False zeroes every additive term,
-    turning the frozen map into pure slope."""
-    lay = node.layer
-    nid = node.id
-    if isinstance(lay, Dense):
-        (v,) = ins
-        if v.shape != (lay.weights.shape[1],):
-            raise ShapeMismatch(f"node {nid!r}: dense expects "
-                                f"({lay.weights.shape[1]},), got {v.shape}")
-        out = lay.weights @ v
-        return out + lay.bias if bias else out
-    if isinstance(lay, Conv2D):
-        out = numerics.conv2d(ins[0], lay.filters, lay.stride, lay.padding)
-        return out + lay.bias if bias else out
-    if isinstance(lay, Activation):
-        (h,) = ins
-        if state is None:
-            mask = h >= 0
-            if sink is not None:
-                sink.sign_masks[nid] = mask
-        else:
-            mask = state.sign_masks[nid]
-            if mask.shape != h.shape:
-                raise ShapeMismatch(f"node {nid!r}: recorded mask {mask.shape} "
-                                    f"vs value {h.shape}")
-        return h * _leak_factor(mask, lay.leakiness)
-    if isinstance(lay, MaxPool):
-        (v,) = ins
-        stride = lay.stride if lay.stride is not None else lay.ksize
-        if state is None:
-            values, idx = numerics.maxpool_argmax(v, lay.ksize, stride, lay.padding)
-            if sink is not None:
-                sink.argmax_indices[nid] = idx
-            return values
-        idx = state.argmax_indices[nid]
-        return np.take(v.reshape(-1), idx)
-    if isinstance(lay, Dropout):
-        (v,) = ins
-        if not lay.training:
-            return v
-        if state is None:
-            keep = dropout_mask(lay.seed, nid, v.shape, lay.rate)
-            if sink is not None:
-                sink.keep_masks[nid] = keep
-        else:
-            keep = state.keep_masks[nid]
-        return v * (keep / (1.0 - lay.rate))
-    if isinstance(lay, BatchNormInference):
-        (v,) = ins
-        inv = lay.gamma / np.sqrt(lay.running_var + lay.epsilon)
-        if bias:
-            # same arithmetic as the plain forward pass, term by term
-            return lay.gamma * (v - lay.running_mean) / np.sqrt(
-                lay.running_var + lay.epsilon) + lay.beta
-        return v * inv
-    if isinstance(lay, Flatten):
-        return ins[0].reshape(-1)
-    if isinstance(lay, Add):
-        out = ins[0]
-        for v in ins[1:]:
-            out = out + v
-        return out
-    if isinstance(lay, Concat):
-        return np.concatenate(ins, axis=lay.axis)
-    if isinstance(lay, Recurrent):
-        (x,) = ins
-        hid = lay.w_hidden.shape[0]
-        h = np.zeros(hid)
-        masks = None if state is None else state.sign_masks[nid]
-        recorded = np.empty((lay.steps, hid), dtype=bool) if state is None else None
-        for t in range(lay.steps):
-            pre = lay.w_hidden @ h + lay.w_input @ x[t]
-            if bias:
-                pre = pre + lay.bias
-            if state is None:
-                m = pre >= 0
-                recorded[t] = m
-            else:
-                m = masks[t]
-            h = pre * _leak_factor(m, lay.leakiness)
-        if sink is not None:
-            sink.sign_masks[nid] = recorded
-        return h
-    raise GraphError(f"node {nid!r}: unknown layer {type(lay).__name__}")
-
-
-def _evaluate(net: Network, x: np.ndarray, *, state: FrozenState | None,
-              record: bool, bias: bool) -> tuple[np.ndarray, dict[str, np.ndarray],
-                                                 FrozenState | None]:
-    """Single engine behind forward, recording, and frozen replays. All
-    of them share the per-layer arithmetic above, so a frozen replay at
-    the recording input is bitwise identical to the plain forward."""
-    x = as_f64(x)
-    if x.shape != tuple(net.input_shape):
-        raise ShapeMismatch(f"input shape {x.shape} does not match network "
-                            f"input {tuple(net.input_shape)}")
-    sink = FrozenState(input=x, outputs={}) if record else None
-    values: dict[str, np.ndarray] = {INPUT_ID: x}
-    for node in net.nodes:
-        missing = [r for r in node.inputs if r not in values]
-        if missing:
-            raise GraphError(f"node {node.id!r} references {missing[0]!r} before "
-                             f"definition")
-        values[node.id] = _layer_apply(node, [values[r] for r in node.inputs],
-                                       bias=bias, state=state, sink=sink)
-    if net.output not in values:
-        raise GraphError(f"output node {net.output!r} was never computed")
+def _forward_block(net, batch, n_aff, state, patch, keep_outputs):
+    record = state is None
     if record:
-        sink.outputs = {n.id: values[n.id] for n in net.nodes}
-    return values[net.output], values, sink
+        state = FrozenState(batch[0], {})
+    values = {INPUT_ID: batch}
+    for node in net.nodes:
+        ins = [values[r] for r in node.inputs]
+        out = node.layer.apply(node.id, ins, n_aff, state, record)
+        values[node.id] = patch[node.id](out, ins) if node.id in patch else out
+    if record and keep_outputs:
+        state.outputs = {node.id: values[node.id][0] for node in net.nodes}
+    return values[net.output], state
+
+
+def _forward_pass(net: Network, batch: np.ndarray, n_aff: int,
+                  state: FrozenState | None = None,
+                  patch: dict | None = None,
+                  keep_outputs: bool = False) -> tuple[np.ndarray, FrozenState]:
+    """The forward engine: push a (B, *input_shape) batch through the graph.
+
+    Additive terms reach the first n_aff slices only, so a slice outside
+    them comes out as the frozen linear map of its input. With state
+    None the nonlinearity decisions are taken from slice 0 and recorded
+    into the returned state, which also keeps every node's slice-0
+    output when keep_outputs is set; otherwise the given state is
+    replayed. ``patch`` maps node ids to functions (output batch, input
+    batches) -> output batch, run right after the node's layer; callers
+    that patch pass at most BLOCK_WIDTH slices. Returns the
+    (B, *output_shape) batch and the state.
+    """
+    check_finite(batch, "input")
+    patch = patch or {}
+    if len(batch) <= BLOCK_WIDTH:
+        return _forward_block(net, batch, n_aff, state, patch, keep_outputs)
+    outs = []
+    for start in range(0, len(batch), BLOCK_WIDTH):
+        out, state = _forward_block(net, batch[start:start + BLOCK_WIDTH],
+                                    max(n_aff - start, 0), state, patch, keep_outputs)
+        outs.append(out)
+    return np.concatenate(outs), state
+
+
+def _transposed_block(net, state, g):
+    shapes = {INPUT_ID: state.input.shape}
+    shapes.update((nid, out.shape) for nid, out in state.outputs.items())
+    cot = {net.output: g}
+    for node in reversed(net.nodes):
+        gn = cot.pop(node.id, None)
+        if gn is None:
+            continue  # node does not feed the output
+        parts = node.layer.transpose(node.id, gn, state, [shapes[r] for r in node.inputs])
+        for ref, part in zip(node.inputs, parts):
+            cot[ref] = cot[ref] + part if ref in cot else part
+    if INPUT_ID in cot:
+        return cot[INPUT_ID]
+    return np.zeros((len(g),) + state.input.shape)
+
+
+def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray) -> np.ndarray:
+    """The transposed engine: A^T applied to a (B, *output_shape) batch
+    of cotangents on the recorded region, walking the graph backwards.
+    Returns a (B, *input_shape) batch."""
+    check_finite(g, "cotangent")
+    if len(g) <= BLOCK_WIDTH:
+        return _transposed_block(net, state, g)
+    return np.concatenate([_transposed_block(net, state, g[start:start + BLOCK_WIDTH])
+                           for start in range(0, len(g), BLOCK_WIDTH)])
+
+
+def _single(net: Network, a, what: str = "input") -> np.ndarray:
+    """One array of the network's input shape as a batch of one."""
+    a = as_f64(a)
+    if a.shape != tuple(net.input_shape):
+        raise ShapeMismatch(f"{what} shape {a.shape} does not match network "
+                            f"input {tuple(net.input_shape)}")
+    return a[None]
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Plain forward pass."""
     validate(net)
-    out, _, _ = _evaluate(net, x, state=None, record=False, bias=True)
-    return out
+    out, _ = _forward_pass(net, _single(net, x), 1)
+    return out[0]
 
 
 def record_states(net: Network, x: np.ndarray) -> tuple[np.ndarray, FrozenState]:
     """Forward pass that also captures the nonlinearity states and all
     feature maps. The returned output is bitwise equal to forward()."""
     validate(net)
-    out, _, st = _evaluate(net, x, state=None, record=True, bias=True)
-    return out, st
+    out, state = _forward_pass(net, _single(net, x), 1, keep_outputs=True)
+    return out[0], state

@@ -6,6 +6,8 @@ give bitwise-identical output regardless of BLAS threading.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -14,8 +16,20 @@ class ShapeMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+class NonFiniteInput(ValueError):
+    """Raised when an input, direction, cotangent or weight holds NaN or inf."""
+
+
 def as_f64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def check_finite(a, what: str) -> None:
+    # one BLAS dot is the fast test: NaN or inf anywhere makes it non-finite;
+    # entries above ~1e154 overflow it, so only then are entries tested
+    flat = a.ravel()
+    if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+        raise NonFiniteInput(f"{what} contains NaN or inf")
 
 
 def _pair(v, name: str) -> tuple[int, int]:

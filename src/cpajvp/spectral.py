@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .clone import _state_shapes, _vjp_run
-from .network import Network, ShapeMismatch, _evaluate, record_states
+from .network import (BLOCK_WIDTH, Network, ShapeMismatch, _forward_pass,
+                      _transposed_pass, record_states)
 from .numerics import qr_householder
 
 
@@ -30,16 +30,21 @@ def _keyed_rng(*parts) -> np.random.Generator:
 class LinearProbe:
     """Counted access to u -> A u (rop) and v -> A^T v (lop).
 
-    The two callables must be adjoint to each other; construction spot
-    checks <A u, v> == <u, A^T v> on three seeded random pairs and
-    raises AdjointMismatch beyond 1e-11 relative error. Counters
-    increment exactly once per call.
+    Each product takes a vector or a (dim, k) block whose columns are k
+    vectors, and counts as k calls, so call counts do not depend on how
+    a caller groups its products. With blocks set, the wrapped callables
+    receive a block as is and must return a (dim_out, k) block;
+    otherwise they are called once per column. The two callables must be adjoint to
+    each other; construction spot checks <A u, v> == <u, A^T v> on
+    three seeded random pairs and raises AdjointMismatch when the gap
+    exceeds 1e-11 of the Cauchy-Schwarz scale ||A u|| ||v|| +
+    ||u|| ||A^T v||.
     """
 
     def __init__(self, dim_in: int, dim_out: int,
                  rop: Callable[[np.ndarray], np.ndarray],
                  lop: Callable[[np.ndarray], np.ndarray],
-                 check_adjoint: bool = True):
+                 check_adjoint: bool = True, blocks: bool = False):
         if dim_in < 1 or dim_out < 1:
             raise ShapeMismatch(f"probe dims must be positive, got "
                                 f"({dim_in}, {dim_out})")
@@ -47,67 +52,80 @@ class LinearProbe:
         self.dim_out = int(dim_out)
         self._rop = rop
         self._lop = lop
+        self.blocks = blocks
         self.rop_calls = 0
         self.lop_calls = 0
         if check_adjoint:
             rng = _keyed_rng("probe-adjoint-check", dim_in, dim_out)
-            for _ in range(3):
-                u = rng.standard_normal(self.dim_in)
-                v = rng.standard_normal(self.dim_out)
-                left = float(np.dot(self.rop(u), v))
-                right = float(np.dot(u, self.lop(v)))
-                scale = max(abs(left), abs(right), 1e-300)
-                if abs(left - right) > 1e-11 * scale:
-                    raise AdjointMismatch(
-                        f"<A u, v> = {left!r} but <u, A^T v> = {right!r} "
-                        f"(relative error {abs(left - right) / scale:.3e})")
+            pairs = [(rng.standard_normal(self.dim_in), rng.standard_normal(self.dim_out))
+                     for _ in range(3)]
+            u, v = (np.stack(side, axis=1) for side in zip(*pairs))
+            au, atv = self.rop(u), self.lop(v)
+            left, right = np.sum(au * v, axis=0), np.sum(u * atv, axis=0)
+            norm = np.linalg.norm
+            scale = norm(au, axis=0) * norm(v, axis=0) + norm(u, axis=0) * norm(atv, axis=0)
+            for lt, rt, sc in zip(left, right, scale):
+                if abs(lt - rt) > 1e-11 * sc:
+                    raise AdjointMismatch(f"<A u, v> = {lt!r} but <u, A^T v> = {rt!r}, "
+                                          f"beyond 1e-11 of the scale {sc!r}")
             # the self-check is not user work
             self.rop_calls = 0
             self.lop_calls = 0
 
+    def _product(self, fn, a, n_in: int, n_out: int, name: str) -> tuple[np.ndarray, int]:
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim not in (1, 2) or a.shape[0] != n_in or a.ndim == 2 and a.shape[1] < 1:
+            raise ShapeMismatch(f"{name} takes a length-{n_in} vector or an "
+                                f"({n_in}, k) block with k >= 1, got {a.shape}")
+        if a.ndim == 1 or self.blocks:
+            out = np.asarray(fn(a), dtype=np.float64)
+        else:
+            out = np.stack([self._product(fn, c, n_in, n_out, name)[0] for c in a.T], axis=1)
+        if a.ndim == 1 and out.size == n_out:
+            out = out.reshape(n_out)
+        if out.shape != (n_out,) + a.shape[1:]:
+            raise ShapeMismatch(f"{name} returned shape {out.shape}, "
+                                f"expected {(n_out,) + a.shape[1:]}")
+        return out, a.shape[1] if a.ndim == 2 else 1
+
     def rop(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64).reshape(-1)
-        if u.shape[0] != self.dim_in:
-            raise ShapeMismatch(f"rop input length {u.shape[0]}, expected {self.dim_in}")
-        self.rop_calls += 1
-        out = np.asarray(self._rop(u), dtype=np.float64).reshape(-1)
-        if out.shape[0] != self.dim_out:
-            raise ShapeMismatch(f"rop output length {out.shape[0]}, "
-                                f"expected {self.dim_out}")
+        out, k = self._product(self._rop, u, self.dim_in, self.dim_out, "rop")
+        self.rop_calls += k
         return out
 
     def lop(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64).reshape(-1)
-        if v.shape[0] != self.dim_out:
-            raise ShapeMismatch(f"lop input length {v.shape[0]}, expected {self.dim_out}")
-        self.lop_calls += 1
-        out = np.asarray(self._lop(v), dtype=np.float64).reshape(-1)
-        if out.shape[0] != self.dim_in:
-            raise ShapeMismatch(f"lop output length {out.shape[0]}, "
-                                f"expected {self.dim_in}")
+        out, k = self._product(self._lop, v, self.dim_out, self.dim_in, "lop")
+        self.lop_calls += k
         return out
+
+
+def _as_batch(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A vector or the columns of a block as an engine batch."""
+    return a.T.reshape((-1,) + shape) if a.ndim == 2 else a.reshape((1,) + shape)
+
+
+def _as_columns(batch: np.ndarray, like: np.ndarray) -> np.ndarray:
+    flat = batch.reshape(len(batch), -1)
+    return flat.T if like.ndim == 2 else flat[0]
 
 
 def probe_from_network(net: Network, x: np.ndarray,
                        check_adjoint: bool = True) -> LinearProbe:
     """Probe for the region at x: one state recording shared by every
-    subsequent product call."""
+    subsequent product call, each a single engine pass per block."""
     _, state = record_states(net, x)
-    shapes = _state_shapes(net, state)
     in_shape = tuple(net.input_shape)
-    out_shape = shapes[net.output]
-    dim_in = int(np.prod(in_shape))
-    dim_out = int(np.prod(out_shape))
+    out_shape = state.outputs[net.output].shape
 
     def rop(u: np.ndarray) -> np.ndarray:
-        out, _, _ = _evaluate(net, u.reshape(in_shape), state=state,
-                              record=False, bias=False)
-        return out.reshape(-1)
+        out, _ = _forward_pass(net, _as_batch(u, in_shape), 0, state)
+        return _as_columns(out, u)
 
     def lop(v: np.ndarray) -> np.ndarray:
-        return _vjp_run(net, state, v.reshape(out_shape), shapes).reshape(-1)
+        return _as_columns(_transposed_pass(net, state, _as_batch(v, out_shape)), v)
 
-    return LinearProbe(dim_in, dim_out, rop, lop, check_adjoint=check_adjoint)
+    return LinearProbe(int(np.prod(in_shape)), int(np.prod(out_shape)), rop, lop,
+                       check_adjoint=check_adjoint, blocks=True)
 
 
 @dataclass
@@ -149,15 +167,13 @@ def top_k_eigen(probe: LinearProbe, k: int, tol: float = 1e-8,
     rop0, lop0 = probe.rop_calls, probe.lop_calls
     rng = _keyed_rng("eigen-init", seed)
     v = _orthonormal_init(rng, dim, k)
-    c = np.stack([probe.rop(v[:, i]) for i in range(k)], axis=1)
+    c = probe.rop(v)
     iterations = 0
     converged = False
     residual = np.inf
     while iterations < max_iter:
-        q, r = qr_householder(c)
-        v = q
-        sigma = r
-        c = np.stack([probe.rop(v[:, i]) for i in range(k)], axis=1)
+        v, sigma = qr_householder(c)
+        c = probe.rop(v)
         residual = float(np.linalg.norm(c - v @ sigma, "fro"))
         iterations += 1
         if residual <= tol:
@@ -189,18 +205,14 @@ def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
     v = _orthonormal_init(rng, probe.dim_in, k)
     u = _orthonormal_init(rng, probe.dim_out, k)
     sigma = rng.standard_normal((k, k))
-    c = np.stack([probe.rop(v[:, i]) for i in range(k)], axis=1)
+    c = probe.rop(v)
     iterations = 0
     residual = float(np.linalg.norm(c - u @ sigma, "fro"))
     converged = residual <= tol
     while not converged and iterations < max_iter:
-        q, _ = qr_householder(c)
-        u = q
-        b = np.stack([probe.lop(u[:, i]) for i in range(k)], axis=1)
-        q2, r2 = qr_householder(b)
-        v = q2
-        sigma = r2
-        c = np.stack([probe.rop(v[:, i]) for i in range(k)], axis=1)
+        u, _ = qr_householder(c)
+        v, sigma = qr_householder(probe.lop(u))
+        c = probe.rop(v)
         residual = float(np.linalg.norm(c - u @ sigma, "fro"))
         iterations += 1
         converged = residual <= tol
@@ -220,9 +232,10 @@ def frobenius_norm_mc(probe: LinearProbe, n_samples: int,
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     rng = _keyed_rng("frobenius-mc", seed)
     samples = np.empty(n_samples)
-    for i in range(n_samples):
-        out = probe.rop(rng.standard_normal(probe.dim_in))
-        samples[i] = np.dot(out, out)
+    for start in range(0, n_samples, BLOCK_WIDTH):
+        k = min(BLOCK_WIDTH, n_samples - start)
+        out = probe.rop(rng.standard_normal((k, probe.dim_in)).T)
+        samples[start:start + k] = np.einsum("ij,ij->j", out, out)
     mean = float(np.mean(samples))
     se_mean = float(np.sqrt(np.sum((samples - mean) ** 2)
                             / (n_samples * (n_samples - 1))))
@@ -244,9 +257,10 @@ def trace_mc(probe: LinearProbe, n_samples: int,
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     rng = _keyed_rng("trace-mc", seed)
     samples = np.empty(n_samples)
-    for i in range(n_samples):
-        u = rng.integers(0, 2, probe.dim_in).astype(np.float64) * 2.0 - 1.0
-        samples[i] = np.dot(u, probe.rop(u))
+    for start in range(0, n_samples, BLOCK_WIDTH):
+        k = min(BLOCK_WIDTH, n_samples - start)
+        u = rng.integers(0, 2, (k, probe.dim_in)).astype(np.float64) * 2.0 - 1.0
+        samples[start:start + k] = np.einsum("ij,ji->i", u, probe.rop(u.T))
     mean = float(np.mean(samples))
     se_mean = float(np.sqrt(np.sum((samples - mean) ** 2)
                             / (n_samples * (n_samples - 1))))

@@ -21,6 +21,7 @@ from .network import (
     Flatten, GraphError, MaxPool, Network, Node, Recurrent, ShapeMismatch,
     shape_infer,
 )
+from .numerics import check_finite
 
 MAGIC = b"TEN1"
 
@@ -107,12 +108,14 @@ def _array(value, ctx: str, base: Path, ndim: int) -> np.ndarray:
     if arr.ndim != ndim:
         raise NetworkSchemaError(f"{ctx}: expected {ndim}-d array, got "
                                  f"{arr.ndim}-d of shape {arr.shape}")
+    check_finite(arr, ctx)
     return arr
 
 
 def _number(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise NetworkSchemaError(f"{ctx}: expected a number, got {value!r}")
+    check_finite(np.asarray(float(value)), ctx)
     return float(value)
 
 
@@ -220,7 +223,9 @@ def parse_network(path) -> Network:
     """Load and validate a network description, resolving weight file
     references relative to the JSON's directory. All schema, graph, and
     shape problems surface as NetworkSchemaError naming the node and
-    field."""
+    field; a NaN or inf weight, batch-norm parameter or layer scalar
+    raises NonFiniteInput, also naming both, so no later call has to
+    scan the weights again."""
     path = Path(path)
     try:
         text = path.read_text()

@@ -1,13 +1,15 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
 from cpajvp import (BudgetExceeded, PassCounts, StrategyMismatch, fixtures,
-                    forward, jvp_input, reports_to_csv, run_benchmark,
-                    benchmark_forward, strategy_batch_jacobian, strategy_clone,
-                    strategy_double_vjp)
+                    forward, jvp_input, record_states, reports_to_csv,
+                    run_benchmark, benchmark_forward, strategy_batch_jacobian,
+                    strategy_clone, strategy_double_vjp)
 from cpajvp.bench import CSV_HEADER, _run_strategy
+from cpajvp.network import Network, Node
 
 
 def bench_instance(arch="resnet-mini", seed=0):
@@ -133,3 +135,43 @@ def test_csv_writes_to_path(tmp_path):
     raw = dest.read_bytes()
     assert raw.startswith(b"strategy,d_in,d_out,")
     assert raw.count(b"\r\n") == 4
+
+
+def with_scaled_offsets(net, factor):
+    """Copy of net with every bias, recurrent bias and batch-norm shift
+    (beta and running mean) multiplied by factor."""
+    nodes = []
+    for node in net.nodes:
+        lay = node.layer
+        if hasattr(lay, "bias"):
+            lay = dataclasses.replace(lay, bias=lay.bias * factor)
+        if hasattr(lay, "beta"):
+            lay = dataclasses.replace(lay, beta=lay.beta * factor,
+                                      running_mean=lay.running_mean * factor)
+        nodes.append(Node(node.id, lay, node.inputs))
+    return Network(net.input_shape, nodes, net.output)
+
+
+@pytest.mark.parametrize("arch", fixtures.ARCHITECTURES)
+def test_clone_has_no_cancellation_at_huge_offsets(arch):
+    # scaling every offset and x by 1e9 scales every pre-activation by 1e9
+    # and keeps the region, so J u is unchanged. The clone slice never sees
+    # an additive term: its J u must come out bit for bit as at scale 1,
+    # not as the difference of two outputs of size 1e9
+    net, x = fixtures.generate(arch, 0, scale=2)
+    big, big_x = with_scaled_offsets(net, 1e9), x * 1e9
+    assert region_equal_across(net, x, big, big_x)
+    u = np.random.default_rng(31).standard_normal(x.shape)
+    got, _ = strategy_clone(big, big_x, u)
+    assert np.array_equal(got, strategy_clone(net, x, u)[0])
+    want = jvp_input(big, big_x, u)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    run_benchmark(big, big_x, u, repetitions=10, warmup=0)
+
+
+def region_equal_across(net_a, x_a, net_b, x_b):
+    _, sa = record_states(net_a, x_a)
+    _, sb = record_states(net_b, x_b)
+    return all(np.array_equal(getattr(sa, store)[k], getattr(sb, store)[k])
+               for store in ("sign_masks", "argmax_indices", "keep_masks")
+               for k in getattr(sa, store))

@@ -231,3 +231,22 @@ def test_data_errors_exit_2(tmp_path, netdir, capsys):
                 "--u", bad, "--out", tmp_path / "o.ten"]) == 2
     err = capsys.readouterr().err
     assert "magic" in err
+
+
+def test_non_finite_data_exits_2(tmp_path, netdir, capsys):
+    x = read_tensor(netdir / "x.ten")
+    x[0] = np.nan
+    write_tensor(tmp_path / "nan.ten", x)
+    for cmd in (["jvp", "--u", netdir / "x.ten", "--out", tmp_path / "o.ten"],
+                ["vjp", "--v", tmp_path / "nan.ten", "--out", tmp_path / "o.ten"],
+                ["frobnorm", "--samples", 10]):
+        assert run([cmd[0], "--net", netdir / "net.json", "--x",
+                    tmp_path / "nan.ten"] + cmd[1:]) == 2
+        assert "NaN or inf" in capsys.readouterr().err
+    w = read_tensor(netdir / "fc0_weights.ten")
+    w[0, 0] = np.inf
+    write_tensor(netdir / "fc0_weights.ten", w)
+    assert run(["jvp", "--net", netdir / "net.json", "--x", netdir / "x.ten",
+                "--u", netdir / "x.ten", "--out", tmp_path / "o.ten"]) == 2
+    assert "NaN or inf" in capsys.readouterr().err
+    assert not (tmp_path / "o.ten").exists()

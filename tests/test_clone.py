@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import nets
-from cpajvp import (GraphError, ShapeMismatch, concat_clone_forward, fixtures,
-                    forward, frozen_forward, frozen_vjp, jvp_batch, jvp_input,
-                    jvp_weight, materialize_affine_direct, record_states,
-                    vjp_input)
+from cpajvp import (GraphError, NonFiniteInput, ShapeMismatch,
+                    concat_clone_forward, fixtures, forward, frozen_forward,
+                    frozen_vjp, jvp_batch, jvp_input, jvp_weight,
+                    materialize_affine_direct, materialize_affine_via_rop,
+                    probe_from_network, record_states, vjp_input)
 
 ALL_ARCHS = fixtures.ARCHITECTURES
 
@@ -241,3 +242,68 @@ def test_concat_clone_requires_a_branch():
         concat_clone_forward(net, x, [])
     with pytest.raises(ShapeMismatch, match="branch"):
         concat_clone_forward(net, x, [np.zeros(x.size + 1)])
+
+
+def test_passes_wider_than_the_cap_split_cleanly(monkeypatch):
+    # with a cap of 3 slices per pass, [0; I] and the clone batch run in
+    # several passes; the additive terms must still reach only their rows
+    monkeypatch.setattr("cpajvp.network.BLOCK_WIDTH", 3)
+    monkeypatch.setattr("cpajvp.affine.BLOCK_WIDTH", 3)
+    rng = np.random.default_rng(16)
+    for arch in ALL_ARCHS:
+        net, x = fixtures.generate(arch, 2)
+        direct = materialize_affine_direct(net, x)
+        probed = materialize_affine_via_rop(net, x)
+        assert np.max(np.abs(probed.a - direct.a)) <= 1e-9 * (1.0 + np.max(np.abs(direct.a)))
+        assert np.max(np.abs(probed.b - direct.b)) <= 1e-12 * (1.0 + np.max(np.abs(direct.b)))
+        _, state = record_states(net, x)
+        branches = [rng.standard_normal(x.shape) for _ in range(7)]
+        for br, got in zip(branches, concat_clone_forward(net, x, branches)):
+            want = frozen_forward(net, state, br, mode="affine")
+            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+        dirs = rng.standard_normal((x.size, 8))
+        want = direct.a @ dirs
+        assert np.max(np.abs(jvp_batch(net, x, dirs) - want)) <= \
+            1e-9 * (1.0 + np.max(np.abs(want)))
+
+
+# ---------------------------------------------------------------------------
+# non-finite data
+
+def test_non_finite_inputs_raise():
+    for arch in ALL_ARCHS:
+        net, x = fixtures.generate(arch, 1)
+        fx = forward(net, x)
+        good_u = np.ones_like(x)
+        for bad in (np.nan, np.inf, -np.inf):
+            y = x.copy()
+            y.reshape(-1)[0] = bad
+            for call in (lambda: forward(net, y),
+                         lambda: record_states(net, y),
+                         lambda: jvp_input(net, y, good_u),
+                         lambda: jvp_input(net, x, y),
+                         lambda: vjp_input(net, y, np.ones_like(fx)),
+                         lambda: jvp_batch(net, x, y.reshape(-1, 1))):
+                with pytest.raises(NonFiniteInput):
+                    call()
+            v = np.ones_like(fx)
+            v.reshape(-1)[-1] = bad
+            with pytest.raises(NonFiniteInput, match="cotangent"):
+                vjp_input(net, x, v)
+            _, state = record_states(net, x)
+            with pytest.raises(NonFiniteInput):
+                frozen_forward(net, state, y, mode="linear")
+            p = probe_from_network(net, x)
+            block = np.ones((p.dim_in, 3))
+            block[-1, 2] = bad
+            with pytest.raises(NonFiniteInput):
+                p.rop(block)
+
+
+def test_non_finite_weight_direction_raises():
+    net, x = fixtures.generate("cnn", 2)
+    target = next(n for n in net.nodes if hasattr(n.layer, "filters"))
+    direction = np.zeros_like(target.layer.filters)
+    direction[0, 0, 0, 0] = np.nan
+    with pytest.raises(NonFiniteInput, match="direction"):
+        jvp_weight(net, x, target.id, direction)

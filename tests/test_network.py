@@ -3,9 +3,9 @@ import pytest
 
 import nets
 from cpajvp import (Activation, Add, Concat, Dense, Dropout, GraphError,
-                    MaxPool, Network, Node, Recurrent, ShapeMismatch,
-                    dropout_mask, forward, record_states, shape_infer,
-                    validate)
+                    MaxPool, Network, Node, NonFiniteInput, Recurrent,
+                    ShapeMismatch, dropout_mask, forward, record_states,
+                    shape_infer, validate)
 
 
 def test_forward_hand_computed_dense_chain():
@@ -177,3 +177,14 @@ def test_forward_deterministic():
     net = nets.branchy_net(5)
     x = np.random.default_rng(6).standard_normal(6)
     assert np.array_equal(forward(net, x), forward(net, x))
+
+
+def test_forward_rejects_nan_input_instead_of_leaking_it():
+    # NaN >= 0 is False, so a NaN would take the leak branch of every mask
+    net = nets.branchy_net(5)
+    x = np.random.default_rng(6).standard_normal(6)
+    x[2] = np.nan
+    with pytest.raises(NonFiniteInput, match="input"):
+        forward(net, x)
+    with pytest.raises(NonFiniteInput):
+        record_states(net, x)

@@ -7,6 +7,8 @@ from cpajvp import (AdjointMismatch, LinearProbe, ShapeMismatch,
                     jvp_input, materialize_affine_direct, probe_from_network,
                     top_k_eigen, top_k_svd, trace_mc, vjp_input)
 from cpajvp import fixtures, forward
+from cpajvp.network import BLOCK_WIDTH
+from cpajvp.spectral import _keyed_rng
 
 
 def matrix_probe(m, check=True):
@@ -55,6 +57,62 @@ def test_probe_detects_broken_adjoint():
     p = LinearProbe(4, 4, rop=lambda u: m @ u, lop=lambda v: (m + 1.0) @ v,
                     check_adjoint=False)
     assert p.rop_calls == 0
+
+
+def test_self_check_accepts_a_near_orthogonal_pair():
+    # deflate A so that the first keyed self-check pair has <A u, v> ~ 0:
+    # relative to |<A u, v>| the rounding gap of a correct probe is then
+    # huge, relative to the Cauchy-Schwarz scale it is not
+    d_in, d_out = 7, 5
+    rng = _keyed_rng("probe-adjoint-check", d_in, d_out)
+    u, v = rng.standard_normal(d_in), rng.standard_normal(d_out)
+    a = np.random.default_rng(3).standard_normal((d_out, d_in))
+    a -= np.outer(v, u) * (v @ a @ u) / ((v @ v) * (u @ u))
+    assert abs(v @ a @ u) <= 1e-14 * np.linalg.norm(a @ u) * np.linalg.norm(v)
+    p = matrix_probe(a)
+    assert p.rop_calls == 0 and p.lop_calls == 0
+
+
+def test_probe_block_counts_columns_and_rejects_bad_blocks():
+    m = np.random.default_rng(4).standard_normal((3, 5))
+    u = np.random.default_rng(5).standard_normal((5, 4))
+    p = LinearProbe(5, 3, rop=lambda u: m @ u, lop=lambda v: m.T @ v, blocks=True)
+    assert np.array_equal(p.rop(u), m @ u)
+    assert p.lop(np.ones((3, 2))).shape == (5, 2)
+    assert (p.rop_calls, p.lop_calls) == (4, 2)
+    p = matrix_probe(m)
+    got = p.rop(u)
+    for j in range(4):
+        assert np.array_equal(got[:, j], m @ u[:, j])
+    assert p.rop_calls == 4
+    with pytest.raises(ShapeMismatch):
+        p.rop(np.ones((5, 0)))
+    with pytest.raises(ShapeMismatch):
+        p.rop(np.ones((4, 2)))
+    with pytest.raises(ShapeMismatch):
+        p.rop(np.ones((5, 2, 1)))
+
+
+def test_probe_calls_vector_callables_once_per_column():
+    # an elementwise callable written for vectors would broadcast along
+    # the wrong axis on a square block; without blocks it sees columns
+    d = np.arange(1.0, 4.0)
+    p = LinearProbe(3, 3, rop=lambda u: d * u, lop=lambda v: d * v)
+    u = np.random.default_rng(6).standard_normal((3, 3))
+    assert np.array_equal(p.rop(u), d[:, None] * u)
+    assert np.array_equal(p.lop(u[:, :2]), d[:, None] * u[:, :2])
+
+
+def test_block_probe_rejects_a_batch_first_result():
+    m = np.random.default_rng(7).standard_normal((4, 6))
+    with pytest.raises(ShapeMismatch, match="returned shape"):
+        LinearProbe(6, 4, rop=lambda u: (m @ u).T, lop=lambda v: (m.T @ v).T,
+                    blocks=True)
+    p = LinearProbe(6, 4, rop=lambda u: (m @ u).T, lop=lambda v: (m.T @ v).T,
+                    check_adjoint=False, blocks=True)
+    assert p.rop(np.ones(6)).shape == (4,)
+    with pytest.raises(ShapeMismatch, match="returned shape"):
+        p.rop(np.ones((6, 3)))
 
 
 def test_network_probe_wraps_jvp_and_vjp():
@@ -218,3 +276,85 @@ def test_estimators_validate_sample_count():
         frobenius_norm_mc(p, 0)
     with pytest.raises(ValueError):
         trace_mc(p, -5)
+
+
+# ---------------------------------------------------------------------------
+# block products
+
+BLOCK_CASES = [(arch,) + fixtures.generate(arch, 4) for arch in fixtures.ARCHITECTURES]
+BLOCK_CASES.append(("branchy", nets.branchy_net(1),
+                    np.random.default_rng(21).standard_normal(6)))
+
+
+def rel_gap(got, want):
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
+
+
+@pytest.mark.parametrize("name,net,x", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+def test_block_products_equal_single_calls(name, net, x):
+    p = probe_from_network(net, x)
+    rng = np.random.default_rng(22)
+    k = 5
+    u = rng.standard_normal((p.dim_in, k))
+    v = rng.standard_normal((p.dim_out, k))
+    au, atv = p.rop(u), p.lop(v)
+    assert au.shape == (p.dim_out, k) and atv.shape == (p.dim_in, k)
+    assert (p.rop_calls, p.lop_calls) == (k, k)
+    for j in range(k):
+        assert rel_gap(au[:, j], p.rop(u[:, j])) <= 1e-13, j
+        assert rel_gap(atv[:, j], p.lop(v[:, j])) <= 1e-13, j
+    assert (p.rop_calls, p.lop_calls) == (2 * k, 2 * k)
+    # wider than one engine pass: the block is split, columns keep their place
+    wide = BLOCK_WIDTH + 3
+    u = rng.standard_normal((p.dim_in, wide))
+    v = rng.standard_normal((p.dim_out, wide))
+    au, atv = p.rop(u), p.lop(v)
+    assert (p.rop_calls, p.lop_calls) == (2 * k + wide, 2 * k + wide)
+    for j in (0, BLOCK_WIDTH - 1, BLOCK_WIDTH, wide - 1):
+        assert rel_gap(au[:, j], p.rop(u[:, j])) <= 1e-13, j
+        assert rel_gap(atv[:, j], p.lop(v[:, j])) <= 1e-13, j
+
+
+def recording_probe(m):
+    """Matrix probe that keeps every rop argument, one row per vector."""
+    seen = []
+
+    def rop(u):
+        seen.append(np.atleast_2d(u.T).copy())
+        return m @ u
+
+    return LinearProbe(m.shape[1], m.shape[0], rop, lambda v: m.T @ v,
+                       check_adjoint=False), seen
+
+
+def per_sample_mean_se(samples):
+    samples = np.asarray(samples)
+    mean = float(np.mean(samples))
+    n = len(samples)
+    return mean, float(np.sqrt(np.sum((samples - mean) ** 2) / (n * (n - 1))))
+
+
+@pytest.mark.parametrize("n", [7, BLOCK_WIDTH + 5])
+def test_mc_estimators_draw_the_per_sample_stream(n):
+    rng = np.random.default_rng(23)
+    m = rng.standard_normal((4, 6))
+    p, seen = recording_probe(m)
+    est, se = frobenius_norm_mc(p, n, seed=3)
+    assert p.rop_calls == n
+    ref = _keyed_rng("frobenius-mc", 3)
+    draws = np.stack([ref.standard_normal(6) for _ in range(n)])
+    assert np.array_equal(np.concatenate(seen), draws)
+    mean, se_mean = per_sample_mean_se([np.dot(m @ d, m @ d) for d in draws])
+    assert abs(est - np.sqrt(mean)) <= 1e-13 * np.sqrt(mean)
+    assert abs(se - se_mean / (2.0 * np.sqrt(mean))) <= 1e-10 * se
+
+    sq = rng.standard_normal((6, 6))
+    p, seen = recording_probe(sq)
+    est, se = trace_mc(p, n, seed=4)
+    ref = _keyed_rng("trace-mc", 4)
+    draws = np.stack([ref.integers(0, 2, 6).astype(np.float64) * 2.0 - 1.0
+                      for _ in range(n)])
+    assert np.array_equal(np.concatenate(seen), draws)
+    mean, se_mean = per_sample_mean_se([np.dot(d, sq @ d) for d in draws])
+    assert abs(est - mean) <= 1e-12 * (1.0 + abs(mean))
+    assert abs(se - se_mean) <= 1e-10 * se

@@ -4,8 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from cpajvp import (NetworkSchemaError, TensorFormatError, fixtures, forward,
-                    parse_network, read_tensor, save_network, write_tensor)
+from cpajvp import (NetworkSchemaError, NonFiniteInput, TensorFormatError,
+                    fixtures, forward, parse_network, read_tensor, save_network,
+                    write_tensor)
 from cpajvp.tenio import MAGIC
 
 
@@ -205,3 +206,29 @@ def test_saved_json_mentions_no_absolute_paths(tmp_path):
     assert str(d) not in text
     doc = json.loads(text)
     assert set(doc) == {"input_shape", "nodes", "output"}
+
+
+def test_parse_rejects_non_finite_weights_once(tmp_path):
+    net, _ = fixtures.generate("mlp", 3)
+    save_network(net, tmp_path)
+    doc = json.loads((tmp_path / "net.json").read_text())
+    ref = doc["nodes"][0]["layer"]["weights"]["file"]
+    w = read_tensor(tmp_path / ref)
+    w[1, 0] = np.inf
+    write_tensor(tmp_path / ref, w)
+    with pytest.raises(NonFiniteInput, match=doc["nodes"][0]["id"]):
+        parse_network(tmp_path / "net.json")
+    # inline arrays and scalars are checked too; JSON accepts NaN literals
+    inline = {"input_shape": [2], "output": "fc", "nodes": [
+        {"id": "fc", "inputs": ["input"],
+         "layer": {"type": "dense", "weights": [[1.0, float("nan")]], "bias": [0.0]}}]}
+    (tmp_path / "inline.json").write_text(json.dumps(inline))
+    with pytest.raises(NonFiniteInput, match="weights"):
+        parse_network(tmp_path / "inline.json")
+    inline["nodes"][0]["layer"]["weights"] = [[1.0, 2.0]]
+    inline["nodes"].append({"id": "act", "inputs": ["fc"],
+                            "layer": {"type": "activation", "leakiness": float("inf")}})
+    inline["output"] = "act"
+    (tmp_path / "inline.json").write_text(json.dumps(inline))
+    with pytest.raises(NonFiniteInput, match="leakiness"):
+        parse_network(tmp_path / "inline.json")
