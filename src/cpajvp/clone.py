@@ -56,10 +56,7 @@ def jvp_input(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out[0]
 
 
-def frozen_vjp(net: Network, state: FrozenState, v: np.ndarray) -> np.ndarray:
-    """Transposed frozen replay: A^T v for the recorded region."""
-    validate(net)
-    _check_state(net, state)
+def _vjp(net: Network, state: FrozenState, v) -> np.ndarray:
     v = as_f64(v)
     out_shape = state.outputs[net.output].shape
     if v.shape != out_shape:
@@ -68,10 +65,17 @@ def frozen_vjp(net: Network, state: FrozenState, v: np.ndarray) -> np.ndarray:
     return _transposed_pass(net, state, v[None])[0]
 
 
+def frozen_vjp(net: Network, state: FrozenState, v: np.ndarray) -> np.ndarray:
+    """Transposed frozen replay: A^T v for the recorded region."""
+    validate(net)
+    _check_state(net, state)
+    return _vjp(net, state, v)
+
+
 def vjp_input(net: Network, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vector-Jacobian product J_f(x)^T v via one transposed frozen replay."""
     _, state = record_states(net, x)
-    return frozen_vjp(net, state, v)
+    return _vjp(net, state, v)
 
 
 # ---------------------------------------------------------------------------

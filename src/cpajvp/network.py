@@ -17,6 +17,7 @@ one transposed engine over these methods serve every pass.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -191,7 +192,8 @@ class Dropout(_Elementwise):
         if not self.training:
             return v
         if record:
-            state.keep_masks[nid] = dropout_mask(self.seed, nid, v.shape[1:], self.rate)
+            state.keep_masks[nid] = _shared_dropout_mask(self.seed, nid, v.shape[1:],
+                                                         self.rate)
         return v * (state.keep_masks[nid] / (1.0 - self.rate))
 
 
@@ -416,6 +418,15 @@ def dropout_mask(seed: int, node_id: str, shape: tuple[int, ...],
     digest = hashlib.blake2s(f"dropout/{seed}/{node_id}".encode()).digest()
     rng = np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
     return rng.random(shape) >= rate
+
+
+@functools.lru_cache(maxsize=256)
+def _shared_dropout_mask(seed, node_id, shape, rate) -> np.ndarray:
+    """dropout_mask drawn once per key and shared, read-only, by every
+    recording of that node."""
+    mask = dropout_mask(seed, node_id, shape, rate)
+    mask.flags.writeable = False
+    return mask
 
 
 # ---------------------------------------------------------------------------

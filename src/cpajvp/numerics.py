@@ -1,15 +1,17 @@
 """Dense float64 kernels and small-matrix factorizations.
 
-Everything here works on C-contiguous float64 numpy arrays. Summation
-orders are fixed where results feed exactness checks, so repeated runs
-give bitwise-identical output regardless of BLAS threading.
+Everything here works on C-contiguous float64 numpy arrays. ``matmul``
+fixes its summation order, so its output is bitwise identical whatever
+the BLAS library or its threading. The convolution kernels go through
+BLAS products instead, which sum in the library's own order: the bits
+can differ between BLAS builds, kernels or thread counts.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeMismatch(ValueError):
@@ -68,7 +70,16 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# convolution and pooling windows
+#
+# A kernel call does only the work that depends on the data: the window
+# geometry and the pooling index base come from bounded caches keyed by
+# shapes, the input is padded only when the padding is non-zero, the
+# windows are one strided view of the (padded) input, and each conv is
+# one BLAS product over the im2col matrix of that view.
+
+_GEOMETRY_CACHE_SIZE = 256
+
 
 def _conv_geometry(size: int, k: int, s: int, padding: str) -> tuple[int, int, int]:
     """Output length and (before, after) zero padding for one spatial axis."""
@@ -83,38 +94,72 @@ def _conv_geometry(size: int, k: int, s: int, padding: str) -> tuple[int, int, i
     raise ShapeMismatch(f"padding must be 'same' or 'valid', got {padding!r}")
 
 
-def conv2d_output_shape(input_shape, filter_shape, stride, padding) -> tuple[int, ...]:
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
+def _cached_geometry(h, w, kh, kw, stride, padding):
+    sh, sw = (kh, kw) if stride is None else _pair(stride, "stride")
+    ho, pt, pb = _conv_geometry(h, kh, sh, padding)
+    wo, pl, pr = _conv_geometry(w, kw, sw, padding)
+    return ho, wo, sh, sw, (pt, pb, pl, pr)
+
+
+def _geometry(h: int, w: int, kh: int, kw: int, stride, padding: str):
+    """(ho, wo, sh, sw, (top, bottom, left, right) pads) of a window
+    scan; stride None means the window size."""
+    if not (stride is None or isinstance(stride, tuple) or np.isscalar(stride)):
+        stride = tuple(stride)  # a list or an array is not hashable
+    return _cached_geometry(h, w, kh, kw, stride, padding)
+
+
+def _windows(x: np.ndarray, pads, fill: float, ho: int, wo: int, kh: int,
+             kw: int, sh: int, sw: int) -> np.ndarray:
+    """(n, ho, wo, kh, kw, c) view of the windows of an NHWC tensor,
+    padded with ``fill`` only when some pad is non-zero."""
+    n, h, w, c = x.shape
+    pt, pb, pl, pr = pads
+    if pt or pb or pl or pr:
+        xp = np.full((n, h + pt + pb, w + pl + pr, c), fill)
+        xp[:, pt:pt + h, pl:pl + w] = x
+        x = xp
+    s0, s1, s2, s3 = x.strides
+    return np.ndarray((n, ho, wo, kh, kw, c), x.dtype, x,
+                      strides=(s0, s1 * sh, s2 * sw, s1, s2, s3))
+
+
+def _conv_plan(input_shape, filter_shape, stride, padding):
     n, h, w, c = input_shape
     kh, kw, cf, f = filter_shape
     if c != cf:
         raise ShapeMismatch(
             f"input channels {c} do not match filter channels {cf} "
             f"(input {tuple(input_shape)}, filters {tuple(filter_shape)})")
-    sh, sw = _pair(stride, "stride")
-    ho, _, _ = _conv_geometry(h, kh, sh, padding)
-    wo, _, _ = _conv_geometry(w, kw, sw, padding)
-    return (n, ho, wo, f)
+    return _geometry(h, w, kh, kw, stride, padding)
+
+
+def conv2d_output_shape(input_shape, filter_shape, stride, padding) -> tuple[int, ...]:
+    ho, wo = _conv_plan(input_shape, filter_shape, stride, padding)[:2]
+    return (input_shape[0], ho, wo, filter_shape[3])
 
 
 def conv2d(x: np.ndarray, filters: np.ndarray, stride=(1, 1),
            padding: str = "valid") -> np.ndarray:
-    """Cross-correlation of an NHWC tensor with [kh, kw, C, F] filters."""
+    """Cross-correlation of an NHWC tensor with [kh, kw, C, F] filters.
+
+    One BLAS product of the (n·ho·wo, kh·kw·C) window matrix with the
+    (kh·kw·C, F) filter matrix, so the summation order within each
+    output is whatever that product uses.
+    """
     x = as_f64(x)
     filters = as_f64(filters)
     if x.ndim != 4:
         raise ShapeMismatch(f"conv2d input must be 4-d NHWC, got {x.shape}")
     if filters.ndim != 4:
         raise ShapeMismatch(f"filters must be 4-d [kh,kw,C,F], got {filters.shape}")
-    n, ho, wo, f = conv2d_output_shape(x.shape, filters.shape, stride, padding)
-    kh, kw = filters.shape[0], filters.shape[1]
-    sh, sw = _pair(stride, "stride")
-    _, pt, pb = _conv_geometry(x.shape[1], kh, sh, padding)
-    _, pl, pr = _conv_geometry(x.shape[2], kw, sw, padding)
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    s0, s1, s2, s3 = xp.strides
-    win = as_strided(xp, (n, ho, wo, kh, kw, x.shape[3]),
-                     (s0, s1 * sh, s2 * sw, s1, s2, s3))
-    return np.tensordot(win, filters, axes=([3, 4, 5], [0, 1, 2]))
+    ho, wo, sh, sw, pads = _conv_plan(x.shape, filters.shape, stride, padding)
+    kh, kw, c, f = filters.shape
+    n = x.shape[0]
+    win = _windows(x, pads, 0.0, ho, wo, kh, kw, sh, sw)
+    out = win.reshape(n * ho * wo, kh * kw * c).dot(filters.reshape(kh * kw * c, f))
+    return out.reshape(n, ho, wo, f)
 
 
 def conv2d_input_adjoint(g: np.ndarray, filters: np.ndarray, stride,
@@ -122,28 +167,28 @@ def conv2d_input_adjoint(g: np.ndarray, filters: np.ndarray, stride,
     """Adjoint of x -> conv2d(x, filters) applied to cotangent g.
 
     The input geometry cannot be recovered from g alone (stride and
-    padding are lossy), so the caller passes it explicitly.
+    padding are lossy), so the caller passes it explicitly. Each filter
+    tap contributes one BLAS product, added into the strided window
+    positions in ascending (ki, kj) order.
     """
     g = as_f64(g)
     filters = as_f64(filters)
     input_shape = tuple(int(d) for d in input_shape)
-    expected = conv2d_output_shape(input_shape, filters.shape, stride, padding)
-    if g.shape != expected:
-        raise ShapeMismatch(
-            f"cotangent shape {g.shape} does not match conv output {expected} "
-            f"for input {input_shape}")
+    ho, wo, sh, sw, pads = _conv_plan(input_shape, filters.shape, stride, padding)
     n, h, w, c = input_shape
-    kh, kw = filters.shape[0], filters.shape[1]
-    sh, sw = _pair(stride, "stride")
-    ho, pt, pb = _conv_geometry(h, kh, sh, padding)
-    wo, pl, pr = _conv_geometry(w, kw, sw, padding)
+    kh, kw, _, f = filters.shape
+    if g.shape != (n, ho, wo, f):
+        raise ShapeMismatch(
+            f"cotangent shape {g.shape} does not match conv output {(n, ho, wo, f)} "
+            f"for input {input_shape}")
+    pt, pb, pl, pr = pads
     xp = np.zeros((n, h + pt + pb, w + pl + pr, c))
+    g2 = g.reshape(n * ho * wo, f)
     for ki in range(kh):
         for kj in range(kw):
-            # g: (N,Ho,Wo,F) x filters[ki,kj]: (C,F) -> (N,Ho,Wo,C)
-            contrib = np.tensordot(g, filters[ki, kj], axes=([3], [1]))
-            xp[:, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw, :] += contrib
-    return xp[:, pt:pt + h, pl:pl + w, :]
+            xp[:, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw] += \
+                g2.dot(filters[ki, kj].T).reshape(n, ho, wo, c)
+    return xp[:, pt:pt + h, pl:pl + w]
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +196,22 @@ def conv2d_input_adjoint(g: np.ndarray, filters: np.ndarray, stride,
 
 def maxpool_output_shape(input_shape, ksize, stride, padding) -> tuple[int, ...]:
     n, h, w, c = input_shape
-    kh, kw = _pair(ksize, "ksize")
-    sh, sw = _pair(stride, "stride")
-    ho, _, _ = _conv_geometry(h, kh, sh, padding)
-    wo, _, _ = _conv_geometry(w, kw, sw, padding)
+    ho, wo = _geometry(h, w, *_pair(ksize, "ksize"), stride, padding)[:2]
     return (n, ho, wo, c)
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
+def _pool_index_base(n, h, w, c, kh, kw, ho, wo, sh, sw, pt, pl):
+    """Flat input offset of each window's top-left tap, shape (n, ho, wo,
+    c), and the offset (ki·w + kj)·c of each tap; both read-only."""
+    nn = np.arange(n).reshape(n, 1, 1, 1) * h
+    ii = np.arange(ho).reshape(1, ho, 1, 1) * sh - pt
+    jj = np.arange(wo).reshape(1, 1, wo, 1) * sw - pl
+    cc = np.arange(c, dtype=np.int64).reshape(1, 1, 1, c)
+    base = ((nn + ii) * w + jj) * c + cc
+    taps = ((np.arange(kh).reshape(kh, 1) * w + np.arange(kw)) * c).reshape(-1)
+    base.flags.writeable = taps.flags.writeable = False
+    return base, taps
 
 
 def maxpool_argmax(x: np.ndarray, ksize, stride=None,
@@ -170,31 +226,17 @@ def maxpool_argmax(x: np.ndarray, ksize, stride=None,
     x = as_f64(x)
     if x.ndim != 4:
         raise ShapeMismatch(f"maxpool input must be 4-d NHWC, got {x.shape}")
-    kh, kw = _pair(ksize, "ksize")
-    if stride is None:
-        stride = (kh, kw)
-    sh, sw = _pair(stride, "stride")
     n, h, w, c = x.shape
-    ho, pt, _pb = _conv_geometry(h, kh, sh, padding)
-    wo, pl, _pr = _conv_geometry(w, kw, sw, padding)
-    xp = np.pad(x, ((0, 0), (pt, _pb), (pl, _pr), (0, 0)),
-                constant_values=-np.inf)
-    s0, s1, s2, s3 = xp.strides
-    win = as_strided(xp, (n, ho, wo, c, kh, kw),
-                     (s0, s1 * sh, s2 * sw, s3, s1, s2))
-    flat = win.reshape(n, ho, wo, c, kh * kw)
-    # argmax returns the first maximum; window scan order (ki, kj) is
-    # lexicographic, which is ascending flat offset, so ties resolve to
-    # the smallest offset automatically.
-    warg = np.argmax(flat, axis=4)
-    values = np.take_along_axis(flat, warg[..., None], axis=4)[..., 0]
-    ki, kj = warg // kw, warg % kw
-    ii = np.arange(ho).reshape(1, ho, 1, 1) * sh - pt + ki
-    jj = np.arange(wo).reshape(1, 1, wo, 1) * sw - pl + kj
-    nn = np.arange(n).reshape(n, 1, 1, 1)
-    cc = np.arange(c).reshape(1, 1, 1, c)
-    indices = ((nn * h + ii) * w + jj) * c + cc
-    return values, indices.astype(np.int64)
+    kh, kw = _pair(ksize, "ksize")
+    ho, wo, sh, sw, pads = _geometry(h, w, kh, kw, stride, padding)
+    win = _windows(x, pads, -np.inf, ho, wo, kh, kw, sh, sw)
+    # argmax returns the first maximum; the taps are scanned in (ki, kj)
+    # order, which is ascending flat offset, so ties go to the smallest
+    # offset automatically
+    warg = win.transpose(0, 1, 2, 5, 3, 4).reshape(n, ho, wo, c, kh * kw).argmax(axis=4)
+    base, taps = _pool_index_base(n, h, w, c, kh, kw, ho, wo, sh, sw, pads[0], pads[2])
+    indices = base + taps[warg]
+    return x.reshape(-1)[indices], indices
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,23 @@ def each_fixture(seeds=(0, 1, 2)):
 # ---------------------------------------------------------------------------
 # clone consistency
 
+def test_vjp_input_validates_the_graph_once(monkeypatch):
+    import cpajvp.clone
+    import cpajvp.network
+    net, x = fixtures.generate("mlp", 3, scale=2)
+    v = np.ones(forward(net, x).shape)
+    real, calls = cpajvp.network.validate, []
+
+    def counting(n):
+        calls.append(n)
+        real(n)
+
+    monkeypatch.setattr("cpajvp.network.validate", counting)
+    monkeypatch.setattr("cpajvp.clone.validate", counting)
+    vjp_input(net, x, v)
+    assert calls == [net]
+
+
 def test_frozen_replay_at_x_reproduces_forward_bitwise():
     # same graph, same arithmetic path: the replay must be exact
     for net, x in each_fixture():

@@ -79,6 +79,22 @@ def test_dropout_mask_keyed_by_seed_and_node():
     assert m1.dtype == np.bool_
 
 
+def test_recordings_share_one_read_only_dropout_mask():
+    net = Network((64,), [Node("d", Dropout(0.3, training=True, seed=5), ["input"])], "d")
+    x = np.ones(64)
+    _, s1 = record_states(net, x)
+    _, s2 = record_states(net, x)
+    shared = s1.keep_masks["d"]
+    assert s2.keep_masks["d"] is shared
+    assert not shared.flags.writeable
+    fresh = dropout_mask(5, "d", (64,), 0.3)
+    assert np.array_equal(fresh, shared)
+    # the public draw stays the caller's own array
+    assert fresh is not shared and fresh.flags.writeable
+    fresh[:] = ~fresh
+    assert np.array_equal(dropout_mask(5, "d", (64,), 0.3), shared)
+
+
 def test_batchnorm_inference_formula():
     from cpajvp import BatchNormInference
     gamma = np.array([2.0, 0.5])

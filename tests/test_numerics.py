@@ -56,6 +56,31 @@ def conv2d_oracle(x, filters, stride, padding):
     return out
 
 
+def conv2d_adjoint_oracle(g, filters, stride, padding, input_shape):
+    # six nested index loops scattering each cotangent entry back onto
+    # the inputs its window read, bounds checks instead of padding
+    n, h, w, c = input_shape
+    kh, kw, _, f = filters.shape
+    sh, sw = stride
+    ho, pt = conv_geometry_oracle(h, kh, sh, padding)
+    wo, pl = conv_geometry_oracle(w, kw, sw, padding)
+    out = np.zeros(input_shape)
+    for nn in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                for ki in range(kh):
+                    for kj in range(kw):
+                        ii = i * sh - pt + ki
+                        jj = j * sw - pl + kj
+                        if not (0 <= ii < h and 0 <= jj < w):
+                            continue
+                        for cc in range(c):
+                            out[nn, ii, jj, cc] += sum(
+                                g[nn, i, j, ff] * filters[ki, kj, cc, ff]
+                                for ff in range(f))
+    return out
+
+
 def maxpool_oracle(x, ksize, stride, padding):
     # explicit window enumeration; ties to the smallest flat offset
     n, h, w, c = x.shape
@@ -155,6 +180,93 @@ def test_conv2d_input_adjoint_inner_product_identity():
             lhs = float(np.sum(y * g))
             rhs = float(np.sum(x * back))
             assert abs(lhs - rhs) <= 1e-11 * (1.0 + abs(lhs) + abs(rhs))
+
+
+def test_conv2d_input_adjoint_matches_scatter_oracle():
+    rng = np.random.default_rng(6)
+    for stride in [(1, 1), (2, 2), (2, 1), (3, 3)]:
+        for padding in ["valid", "same"]:
+            filters = rng.standard_normal((3, 2, 3, 4))
+            shape = (2, 7, 6, 3)
+            g = rng.standard_normal(conv2d_output_shape(shape, filters.shape,
+                                                        stride, padding))
+            got = conv2d_input_adjoint(g, filters, stride, padding, shape)
+            want = conv2d_adjoint_oracle(g, filters, stride, padding, shape)
+            assert got.shape == want.shape
+            scale = np.max(np.abs(want)) + 1.0
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (stride, padding)
+
+
+# (input shape, kernel, stride, padding): stride above the kernel, 1x1
+# kernels, a kernel spanning the whole extent (one output), even kernels
+# under same padding (asymmetric pads), batch 3, list and int strides
+GEOMETRIES = [
+    ((1, 7, 8, 2), (2, 2), (3, 3), "valid"),
+    ((2, 7, 8, 2), (2, 1), (3, 4), "same"),
+    ((1, 5, 4, 3), (1, 1), (1, 1), "valid"),
+    ((2, 5, 4, 3), (1, 1), (2, 2), "same"),
+    ((1, 5, 4, 2), (5, 4), (1, 1), "valid"),
+    ((2, 5, 4, 2), (5, 4), (2, 3), "valid"),
+    ((1, 6, 7, 2), (2, 2), (1, 1), "same"),
+    ((1, 6, 7, 1), (4, 2), (1, 2), "same"),
+    ((3, 5, 6, 2), (3, 3), (2, 1), "same"),
+    ((3, 5, 6, 2), (3, 3), [2, 1], "valid"),
+    ((1, 6, 5, 2), (3, 2), 2, "same"),
+]
+
+
+@pytest.mark.parametrize("shape,kernel,stride,padding", GEOMETRIES)
+def test_window_kernels_on_edge_geometries(shape, kernel, stride, padding):
+    rng = np.random.default_rng(7)
+    pair = (stride, stride) if np.isscalar(stride) else tuple(stride)
+    x = rng.standard_normal(shape)
+    filters = rng.standard_normal(kernel + (shape[3], 3))
+    y = conv2d(x, filters, stride, padding)
+    want = conv2d_oracle(x, filters, pair, padding)
+    assert y.shape == want.shape == conv2d_output_shape(shape, filters.shape,
+                                                        stride, padding)
+    assert np.max(np.abs(y - want)) <= 1e-13 * (np.max(np.abs(want)) + 1.0)
+    g = rng.standard_normal(y.shape)
+    back = conv2d_input_adjoint(g, filters, stride, padding, shape)
+    want = conv2d_adjoint_oracle(g, filters, pair, padding, shape)
+    assert np.max(np.abs(back - want)) <= 1e-13 * (np.max(np.abs(want)) + 1.0)
+    xq = np.round(x * 2.0) / 2.0  # coarse values, so windows hold ties
+    got_v, got_i = maxpool_argmax(xq, kernel, stride, padding)
+    want_v, want_i = maxpool_oracle(xq, kernel, pair, padding)
+    assert np.array_equal(got_v, want_v) and np.array_equal(got_i, want_i)
+    assert maxpool_output_shape(shape, kernel, stride, padding) == got_v.shape
+
+
+def test_window_kernels_keyed_beyond_geometry():
+    # back-to-back calls share (h, w, kernel, stride) but not channels or
+    # batch, so anything cached per geometry must not leak between them
+    rng = np.random.default_rng(8)
+    for n, c in [(1, 2), (1, 3), (3, 3), (2, 1), (1, 2)]:
+        x = rng.standard_normal((n, 6, 5, c))
+        filters = rng.standard_normal((3, 3, c, 2))
+        y = conv2d(x, filters, (2, 1), "same")
+        want = conv2d_oracle(x, filters, (2, 1), "same")
+        assert np.max(np.abs(y - want)) <= 1e-13 * (np.max(np.abs(want)) + 1.0)
+        g = rng.standard_normal(y.shape)
+        back = conv2d_input_adjoint(g, filters, (2, 1), "same", x.shape)
+        want = conv2d_adjoint_oracle(g, filters, (2, 1), "same", x.shape)
+        assert np.max(np.abs(back - want)) <= 1e-13 * (np.max(np.abs(want)) + 1.0)
+        got_v, got_i = maxpool_argmax(x, (3, 3), (2, 1), "same")
+        want_v, want_i = maxpool_oracle(x, (3, 3), (2, 1), "same")
+        assert np.array_equal(got_v, want_v) and np.array_equal(got_i, want_i)
+
+
+def test_channel_mismatch_raises_after_a_cached_geometry():
+    filters = np.zeros((3, 3, 2, 4))
+    conv2d(np.zeros((1, 6, 6, 2)), filters, (1, 1), "same")
+    conv2d_input_adjoint(np.zeros((1, 6, 6, 4)), filters, (1, 1), "same", (1, 6, 6, 2))
+    with pytest.raises(ShapeMismatch):
+        conv2d(np.zeros((1, 6, 6, 3)), filters, (1, 1), "same")
+    with pytest.raises(ShapeMismatch):
+        conv2d_input_adjoint(np.zeros((1, 6, 6, 4)), filters, (1, 1), "same",
+                             (1, 6, 6, 3))
+    with pytest.raises(ShapeMismatch):
+        conv2d_output_shape((1, 6, 6, 3), filters.shape, (1, 1), "same")
 
 
 def test_conv2d_input_adjoint_checks_cotangent_shape():
