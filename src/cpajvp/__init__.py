@@ -13,8 +13,6 @@ from .numerics import (
     ShapeMismatch,
     conv2d,
     conv2d_input_adjoint,
-    dense_eig_symmetric,
-    dense_svd,
     matmul,
     maxpool_argmax,
     qr_householder,
@@ -42,10 +40,8 @@ from .network import (
     validate,
 )
 from .clone import (
-    concat_clone_forward,
     frozen_forward,
     frozen_vjp,
-    jvp_batch,
     jvp_input,
     jvp_weight,
     vjp_input,

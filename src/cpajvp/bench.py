@@ -5,9 +5,10 @@ All three compute the same J u for the region at x:
 * batch-jacobian: materialize every Jacobian row with one transposed
   replay per output coordinate, then multiply by u. One recording pass
   plus d_out transposed passes.
-* double-vjp: realize the transposed map once, then exploit its
-  linearity; the second transposition collapses to a single forward
-  linear replay. One recording, one transposed, one linear pass.
+* double-vjp: one recording, one transposed pass on a ones cotangent
+  whose result is thrown away, then one linear replay of u. So it
+  measures one linear replay plus one discarded backward pass, not a
+  true vjp-of-vjp; the name is kept because reports and CSVs use it.
 * clone: a single batched pass over [x, u] with states taken from the
   x slice. Additive terms reach slice 0 only, so slice 1 comes out as
   J u directly, with no difference of two affine outputs, and f(x)
@@ -92,16 +93,17 @@ def strategy_batch_jacobian(net: Network, x: np.ndarray, u: np.ndarray,
 
 def strategy_double_vjp(net: Network, x: np.ndarray, u: np.ndarray,
                         counts: PassCounts | None = None) -> np.ndarray:
-    """J u through two nested transpositions.
+    """J u from one linear replay of u, after a transposed replay whose
+    result is thrown away.
 
-    The inner transposed replay realizes v -> J^T v; that map is linear
-    in v, so transposing it against u needs no second recording, just
-    one forward linear replay of u."""
+    This is not a vjp-of-vjp: the transposed pass runs on a ones
+    cotangent and its output is discarded, so the strategy costs one
+    linear replay plus one wasted backward pass."""
     _, state = record_states(net, x)
     if counts is not None:
         counts.forward += 1
     probe = np.ones((1,) + state.outputs[net.output].shape)
-    _transposed_pass(net, state, probe)  # realizes the inner map
+    _transposed_pass(net, state, probe)  # result discarded
     if counts is not None:
         counts.transposed += 1
     out, _ = _forward_pass(net, _single(net, u, "direction"), 0, state)

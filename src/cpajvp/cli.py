@@ -149,52 +149,30 @@ def _cmd_affine(args) -> int:
     return 0
 
 
-def _cmd_eigen(args) -> int:
+def _cmd_spectral(args) -> int:
     net = parse_network(args.net)
     probe = probe_from_network(net, read_tensor(args.x))
-    res = top_k_eigen(probe, args.k, tol=args.tol, max_iter=args.max_iter,
-                      seed=args.seed)
+    solver = top_k_eigen if args.command == "eigen" else top_k_svd
+    res = solver(probe, args.k, tol=args.tol, max_iter=args.max_iter,
+                 seed=args.seed)
     print("values:", " ".join(repr(float(v)) for v in res.values))
     print(f"iterations: {res.iterations} converged: {res.converged} "
           f"residual: {res.residual!r}")
     print(f"rop_calls: {res.rop_calls} lop_calls: {res.lop_calls}")
-    if args.out_values:
-        write_tensor(args.out_values, res.values)
-    if args.out_vectors:
-        write_tensor(args.out_vectors, res.right_vectors)
+    outputs = (("out_values", res.values), ("out_vectors", res.right_vectors),
+               ("out_left", res.left_vectors), ("out_right", res.right_vectors))
+    for dest, value in outputs:
+        path = getattr(args, dest, None)  # each command has only its own
+        if path:
+            write_tensor(path, value)
     return 0
 
 
-def _cmd_svd(args) -> int:
+def _cmd_estimate(args) -> int:
     net = parse_network(args.net)
     probe = probe_from_network(net, read_tensor(args.x))
-    res = top_k_svd(probe, args.k, tol=args.tol, max_iter=args.max_iter,
-                    seed=args.seed)
-    print("values:", " ".join(repr(float(v)) for v in res.values))
-    print(f"iterations: {res.iterations} converged: {res.converged} "
-          f"residual: {res.residual!r}")
-    print(f"rop_calls: {res.rop_calls} lop_calls: {res.lop_calls}")
-    if args.out_values:
-        write_tensor(args.out_values, res.values)
-    if args.out_left:
-        write_tensor(args.out_left, res.left_vectors)
-    if args.out_right:
-        write_tensor(args.out_right, res.right_vectors)
-    return 0
-
-
-def _cmd_frobnorm(args) -> int:
-    net = parse_network(args.net)
-    probe = probe_from_network(net, read_tensor(args.x))
-    est, se = frobenius_norm_mc(probe, args.samples, seed=args.seed)
-    print(f"estimate {est!r} stderr {se!r}")
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    net = parse_network(args.net)
-    probe = probe_from_network(net, read_tensor(args.x))
-    est, se = trace_mc(probe, args.samples, seed=args.seed)
+    estimator = frobenius_norm_mc if args.command == "frobnorm" else trace_mc
+    est, se = estimator(probe, args.samples, seed=args.seed)
     print(f"estimate {est!r} stderr {se!r}")
     return 0
 
@@ -246,10 +224,10 @@ _COMMANDS = {
     "vjp": _cmd_vjp,
     "jvp-weight": _cmd_jvp_weight,
     "affine": _cmd_affine,
-    "eigen": _cmd_eigen,
-    "svd": _cmd_svd,
-    "frobnorm": _cmd_frobnorm,
-    "trace": _cmd_trace,
+    "eigen": _cmd_spectral,
+    "svd": _cmd_spectral,
+    "frobnorm": _cmd_estimate,
+    "trace": _cmd_estimate,
     "bench": _cmd_bench,
     "gen": _cmd_gen,
 }

@@ -118,43 +118,3 @@ def jvp_weight(net: Network, x: np.ndarray, node_id: str,
                            patch={node_id: add_tangent})
     return out[1]
 
-
-# ---------------------------------------------------------------------------
-# batched directions
-
-def jvp_batch(net: Network, x: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Columns of J u_i for a (d_in, m) direction matrix, from one state
-    recording and one single-vector replay per column, so every column
-    is bitwise equal to jvp_input. Returns a (d_out, m) matrix."""
-    directions = as_f64(directions)
-    d_in = int(np.prod(net.input_shape))
-    if directions.ndim != 2 or directions.shape[0] != d_in:
-        raise ShapeMismatch(f"directions must be ({d_in}, m), got {directions.shape}")
-    _, state = record_states(net, x)
-    out = np.empty((state.outputs[net.output].size, directions.shape[1]))
-    for j, u in enumerate(directions.T):
-        out[:, j] = _forward_pass(net, u.reshape(state.input.shape)[None], 0, state)[0].ravel()
-    return out
-
-
-def concat_clone_forward(net: Network, x: np.ndarray,
-                         branches: list[np.ndarray]) -> list[np.ndarray]:
-    """Single batched pass over [x, branch_1, ..., branch_m].
-
-    Every state-driven layer reads its decision from the leading x
-    slice and applies it to all slices, so branch i comes out as the
-    frozen affine map of x applied to branch i, without a separate
-    recording pass. Returns the per-branch outputs in order.
-    """
-    validate(net)
-    if not branches:
-        raise ValueError("concat_clone_forward needs at least one branch")
-    stack = [_single(net, x)[0]]
-    for i, br in enumerate(branches):
-        br = as_f64(br)
-        if br.shape != stack[0].shape:
-            raise ShapeMismatch(f"branch {i} has shape {br.shape}, expected "
-                                f"{stack[0].shape}")
-        stack.append(br)
-    out, _ = _forward_pass(net, np.stack(stack), len(stack))
-    return list(out[1:])

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import nets
-from cpajvp import (dense_eig_symmetric, dense_svd, fixtures, forward,
+from cpajvp import (fixtures, forward,
                     frobenius_norm_mc, frozen_forward, frozen_vjp, jvp_input,
                     jvp_weight, materialize_affine_direct,
                     materialize_affine_via_rop, parse_network,
@@ -20,6 +20,7 @@ from cpajvp import (dense_eig_symmetric, dense_svd, fixtures, forward,
                     write_tensor)
 from cpajvp.bench import benchmark_forward
 from cpajvp.cli import main as cli_main
+from oracles import dense_eig_symmetric, dense_svd
 
 ARCHS = fixtures.ARCHITECTURES
 

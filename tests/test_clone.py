@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import nets
-from cpajvp import (GraphError, NonFiniteInput, ShapeMismatch,
-                    concat_clone_forward, fixtures, forward, frozen_forward,
-                    frozen_vjp, jvp_batch, jvp_input, jvp_weight,
-                    materialize_affine_direct, materialize_affine_via_rop,
-                    probe_from_network, record_states, vjp_input)
+from cpajvp import (GraphError, NonFiniteInput, ShapeMismatch, fixtures,
+                    forward, frozen_forward, frozen_vjp, jvp_input,
+                    jvp_weight, materialize_affine_direct,
+                    materialize_affine_via_rop, probe_from_network,
+                    record_states, vjp_input)
 
 ALL_ARCHS = fixtures.ARCHITECTURES
 
@@ -194,76 +194,10 @@ def test_jvp_weight_validates_node_and_shape():
         jvp_weight(net, x, target, np.zeros((1, 1)))
 
 
-# ---------------------------------------------------------------------------
-# batched directions
-
-def test_jvp_batch_matches_per_column_calls():
-    net, x = fixtures.generate("resnet-mini", 3)
-    d_in = x.size
-    rng = np.random.default_rng(12)
-    dirs = rng.standard_normal((d_in, 7))
-    got = jvp_batch(net, x, dirs)
-    for j in range(7):
-        col = jvp_input(net, x, dirs[:, j].reshape(x.shape)).reshape(-1)
-        assert np.array_equal(got[:, j], col)
-
-
-def test_jvp_batch_is_linear():
-    net, x = fixtures.generate("mlp", 5)
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((x.size, 3))
-    b = rng.standard_normal((x.size, 3))
-    lhs = jvp_batch(net, x, a + 2.0 * b)
-    rhs = jvp_batch(net, x, a) + 2.0 * jvp_batch(net, x, b)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-11 * (1.0 + np.max(np.abs(rhs)))
-
-
-def test_jvp_batch_rejects_wrong_leading_dim():
-    net, x = fixtures.generate("mlp", 0)
-    with pytest.raises(ShapeMismatch, match="directions"):
-        jvp_batch(net, x, np.zeros((x.size + 1, 2)))
-
-
-# ---------------------------------------------------------------------------
-# batched clone pass
-
-def test_concat_clone_matches_frozen_affine_per_branch():
-    rng = np.random.default_rng(14)
-    for net, x in each_fixture((0, 1)):
-        _, state = record_states(net, x)
-        branches = [rng.standard_normal(x.shape) for _ in range(3)]
-        outs = concat_clone_forward(net, x, branches)
-        assert len(outs) == 3
-        for br, got in zip(branches, outs):
-            want = frozen_forward(net, state, br, mode="affine")
-            scale = 1.0 + np.max(np.abs(want))
-            assert np.max(np.abs(got - want)) <= 1e-12 * scale
-
-
-def test_concat_clone_single_and_many_branches():
-    net, x = fixtures.generate("unet-mini", 1)
-    rng = np.random.default_rng(15)
-    _, state = record_states(net, x)
-    for m in (1, 5):
-        branches = [rng.standard_normal(x.shape) for _ in range(m)]
-        outs = concat_clone_forward(net, x, branches)
-        assert len(outs) == m
-        for br, got in zip(branches, outs):
-            want = frozen_forward(net, state, br, mode="affine")
-            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
-
-
-def test_concat_clone_requires_a_branch():
-    net, x = fixtures.generate("mlp", 0)
-    with pytest.raises(ValueError, match="branch"):
-        concat_clone_forward(net, x, [])
-    with pytest.raises(ShapeMismatch, match="branch"):
-        concat_clone_forward(net, x, [np.zeros(x.size + 1)])
-
-
 def test_passes_wider_than_the_cap_split_cleanly(monkeypatch):
-    # with a cap of 3 slices per pass, [0; I] and the clone batch run in
-    # several passes; the additive terms must still reach only their rows
+    # with a cap of 3 slices per pass, [0; I] and an 8-column probe block
+    # run in several passes; the additive terms must still reach only
+    # their rows
     monkeypatch.setattr("cpajvp.network.BLOCK_WIDTH", 3)
     monkeypatch.setattr("cpajvp.affine.BLOCK_WIDTH", 3)
     rng = np.random.default_rng(16)
@@ -273,15 +207,10 @@ def test_passes_wider_than_the_cap_split_cleanly(monkeypatch):
         probed = materialize_affine_via_rop(net, x)
         assert np.max(np.abs(probed.a - direct.a)) <= 1e-9 * (1.0 + np.max(np.abs(direct.a)))
         assert np.max(np.abs(probed.b - direct.b)) <= 1e-12 * (1.0 + np.max(np.abs(direct.b)))
-        _, state = record_states(net, x)
-        branches = [rng.standard_normal(x.shape) for _ in range(7)]
-        for br, got in zip(branches, concat_clone_forward(net, x, branches)):
-            want = frozen_forward(net, state, br, mode="affine")
-            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
         dirs = rng.standard_normal((x.size, 8))
         want = direct.a @ dirs
-        assert np.max(np.abs(jvp_batch(net, x, dirs) - want)) <= \
-            1e-9 * (1.0 + np.max(np.abs(want)))
+        got = probe_from_network(net, x).rop(dirs)
+        assert np.max(np.abs(got - want)) <= 1e-9 * (1.0 + np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +228,7 @@ def test_non_finite_inputs_raise():
                          lambda: record_states(net, y),
                          lambda: jvp_input(net, y, good_u),
                          lambda: jvp_input(net, x, y),
-                         lambda: vjp_input(net, y, np.ones_like(fx)),
-                         lambda: jvp_batch(net, x, y.reshape(-1, 1))):
+                         lambda: vjp_input(net, y, np.ones_like(fx))):
                 with pytest.raises(NonFiniteInput):
                     call()
             v = np.ones_like(fx)

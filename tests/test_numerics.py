@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cpajvp.numerics import (ShapeMismatch, conv2d, conv2d_input_adjoint,
-                             conv2d_output_shape, dense_eig_symmetric,
-                             dense_svd, matmul, maxpool_argmax,
+                             conv2d_output_shape, matmul, maxpool_argmax,
                              maxpool_output_shape, qr_householder)
+from oracles import dense_eig_symmetric, dense_svd
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +360,17 @@ def test_qr_rank_deficient_zero_diagonal():
     assert abs(r[1, 1]) <= 1e-13
     assert np.max(np.abs(q @ r - a)) <= 1e-13
     assert np.max(np.abs(q.T @ q - np.eye(2))) <= 1e-13
+
+
+def test_qr_exact_zero_column():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((4, 3))
+    a[:, 1] = 0.0
+    q, r = qr_householder(a)
+    assert r[1, 1] == 0.0
+    assert np.max(np.abs(q.T @ q - np.eye(3))) <= 1e-13
+    assert np.max(np.abs(q @ r - a)) <= 1e-13 * (1.0 + np.max(np.abs(a)))
+    assert np.all(np.diag(r) >= 0.0)
 
 
 def test_qr_rejects_wide_and_non_2d():

@@ -3,12 +3,13 @@ import pytest
 
 import nets
 from cpajvp import (AdjointMismatch, LinearProbe, ShapeMismatch,
-                    dense_eig_symmetric, dense_svd, frobenius_norm_mc,
-                    jvp_input, materialize_affine_direct, probe_from_network,
-                    top_k_eigen, top_k_svd, trace_mc, vjp_input)
+                    frobenius_norm_mc, jvp_input, materialize_affine_direct,
+                    probe_from_network, top_k_eigen, top_k_svd, trace_mc,
+                    vjp_input)
 from cpajvp import fixtures, forward
 from cpajvp.network import BLOCK_WIDTH
 from cpajvp.spectral import _keyed_rng
+from oracles import dense_eig_symmetric, dense_svd
 
 
 def matrix_probe(m, check=True):
