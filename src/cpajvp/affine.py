@@ -3,9 +3,11 @@
 On one activation region the whole network is f(v) = A v + b. This
 module builds A and b two independent ways: direct composition of
 per-layer dense expansions (index arithmetic only, no shared kernels
-with the evaluation engine), and column probing through the frozen
-linear replay. The two agreeing is the main exactness check for the
-product machinery.
+with the evaluation engine), and probing the engines from the narrow
+side of the map: rows of A through the transposed engine when
+d_out < d_in, columns through the forward engine otherwise, so a probe
+costs min(d_in, d_out) slices. The two agreeing is the main exactness
+check for the product machinery.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ import numpy as np
 from . import numerics
 from .network import (
     Activation, Add, BatchNormInference, Concat, Conv2D, Dense, Dropout,
-    BLOCK_WIDTH, Flatten, FrozenState, GraphError, INPUT_ID, MaxPool, Network,
-    Recurrent, _forward_pass, record_states, shape_infer,
+    Flatten, FrozenState, GraphError, INPUT_ID, MaxPool, Network, Recurrent,
+    _forward_pass, _single, _transposed_pass, record_states, shape_infer,
 )
 
 
@@ -190,24 +192,38 @@ def materialize_affine_direct(net: Network, x: np.ndarray,
 
 def materialize_affine_via_rop(net: Network, x: np.ndarray,
                                budget: int = 10 ** 6) -> AffineMap:
-    """A and b of the region at x by probing the frozen replay: one pass
-    over the rows of [0; I], with the additive terms on the zero row
-    only. Row 0 comes out as b, row d + 1 as column d of A."""
+    """A and b of the region at x, built from the narrow side of the map.
+
+    One recording pass carries x as slice 0, which decides the region,
+    and a zero input as slice 1; the additive terms reach these two
+    slices only, so slice 1 comes out as b. When d_out < d_in the same
+    pass keeps its feature maps and one transposed pass over the rows of
+    I_{d_out} gives the rows of A (reverse mode). Otherwise the pass also
+    carries the rows of I_{d_in}, which come out as the columns of A
+    (forward mode). Either way the identity holds min(d_in, d_out)²
+    entries and A is never the difference of two affine outputs.
+
+    The region is the one slice 0 of that batch decides: where a
+    pre-activation at x is within rounding of 0 it can be the
+    neighbouring region of the one ``record_states`` takes.
+    """
     shapes = shape_infer(net)
     d_in = int(np.prod(net.input_shape))
-    d_out = int(np.prod(shapes[net.output]))
+    out_shape = shapes[net.output]
+    d_out = int(np.prod(out_shape))
     if d_in * d_out > budget:
         raise BudgetExceeded(f"slope needs {d_in * d_out} entries, "
                              f"budget is {budget}")
-    _, state = record_states(net, x)
-    rows = []
-    for start in range(0, d_in + 1, BLOCK_WIDTH):
-        basis = np.eye(min(BLOCK_WIDTH, d_in + 1 - start), d_in, k=start - 1)
-        out, _ = _forward_pass(net, basis.reshape((-1,) + tuple(net.input_shape)),
-                               int(start == 0), state)
-        rows.append(out.reshape(len(basis), d_out))
-    ab = np.concatenate(rows)
-    return AffineMap(a=np.ascontiguousarray(ab[1:].T), b=ab[0].copy())
+    pair = np.concatenate([_single(net, x), np.zeros((1,) + tuple(net.input_shape))])
+    if d_out < d_in:
+        out, state = _forward_pass(net, pair, 2, keep_outputs=True)
+        rows = _transposed_pass(net, state, np.eye(d_out).reshape((d_out,) + out_shape))
+        a = rows.reshape(d_out, d_in)
+    else:
+        basis = np.eye(d_in).reshape((d_in,) + pair.shape[1:])
+        out, _ = _forward_pass(net, np.concatenate([pair, basis]), 2)
+        a = np.ascontiguousarray(out[2:].reshape(d_in, d_out).T)
+    return AffineMap(a=a, b=out[1].reshape(-1).copy())
 
 
 def region_equal(net: Network, x: np.ndarray, y: np.ndarray) -> bool:

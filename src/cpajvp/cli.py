@@ -71,7 +71,11 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--out-slope", required=True)
     sp.add_argument("--out-bias", required=True)
-    sp.add_argument("--method", choices=("direct", "rop"), default="direct")
+    sp.add_argument("--method", choices=("direct", "rop"), default="direct",
+                    help="direct: compose per-layer maps; rop: probe the "
+                         "engines from the narrow side, rows of the slope "
+                         "by one transposed pass when outputs < inputs, "
+                         "columns by one forward pass otherwise")
     sp.add_argument("--budget", type=int, default=10 ** 6)
 
     for name in ("eigen", "svd"):

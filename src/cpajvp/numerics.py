@@ -168,9 +168,12 @@ def conv2d_input_adjoint(g: np.ndarray, filters: np.ndarray, stride,
     """Adjoint of x -> conv2d(x, filters) applied to cotangent g.
 
     The input geometry cannot be recovered from g alone (stride and
-    padding are lossy), so the caller passes it explicitly. Each filter
-    tap contributes one BLAS product, added into the strided window
-    positions in ascending (ki, kj) order.
+    padding are lossy), so the caller passes it explicitly. The adjoint
+    is one stride-1 correlation: g is spread onto every stride-th
+    position of a zero buffer of shape (n, h+kh-1, w+kw-1, F) at offset
+    (kh-1-top pad, kw-1-left pad), and its windows meet the spatially
+    flipped filters with C and F swapped in one BLAS product, as in
+    ``conv2d``.
     """
     g = as_f64(g)
     filters = as_f64(filters)
@@ -182,14 +185,13 @@ def conv2d_input_adjoint(g: np.ndarray, filters: np.ndarray, stride,
         raise ShapeMismatch(
             f"cotangent shape {g.shape} does not match conv output {(n, ho, wo, f)} "
             f"for input {input_shape}")
-    pt, pb, pl, pr = pads
-    xp = np.zeros((n, h + pt + pb, w + pl + pr, c))
-    g2 = g.reshape(n * ho * wo, f)
-    for ki in range(kh):
-        for kj in range(kw):
-            xp[:, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw] += \
-                g2.dot(filters[ki, kj].T).reshape(n, ho, wo, c)
-    return xp[:, pt:pt + h, pl:pl + w]
+    top, left = kh - 1 - pads[0], kw - 1 - pads[2]
+    buf = np.zeros((n, h + kh - 1, w + kw - 1, f))
+    buf[:, top:top + sh * ho:sh, left:left + sw * wo:sw] = g
+    win = _windows(buf, (0, 0, 0, 0), 0.0, h, w, kh, kw, 1, 1)
+    flipped = filters[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * f, c)
+    out = win.reshape(n * h * w, kh * kw * f).dot(flipped)
+    return out.reshape(n, h, w, c)
 
 
 # ---------------------------------------------------------------------------

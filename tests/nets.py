@@ -1,4 +1,6 @@
 """Hand-built networks shared across test modules."""
+import dataclasses
+
 import numpy as np
 
 from cpajvp.network import (Activation, Add, BatchNormInference, Concat,
@@ -93,7 +95,6 @@ def tiny_rnn(seed=0, steps=3, d_in=4, d_h=5):
 
 def replace_weights(net, node_id, new_array):
     """Copy of net with one Dense/Conv2D node's weight array swapped."""
-    import dataclasses
     nodes = []
     for node in net.nodes:
         if node.id == node_id:
@@ -104,4 +105,19 @@ def replace_weights(net, node_id, new_array):
             nodes.append(Node(node.id, lay, list(node.inputs)))
         else:
             nodes.append(node)
+    return Network(net.input_shape, nodes, net.output)
+
+
+def with_scaled_offsets(net, factor):
+    """Copy of net with every bias, recurrent bias and batch-norm shift
+    (beta and running mean) multiplied by factor."""
+    nodes = []
+    for node in net.nodes:
+        lay = node.layer
+        if hasattr(lay, "bias"):
+            lay = dataclasses.replace(lay, bias=lay.bias * factor)
+        if hasattr(lay, "beta"):
+            lay = dataclasses.replace(lay, beta=lay.beta * factor,
+                                      running_mean=lay.running_mean * factor)
+        nodes.append(Node(node.id, lay, node.inputs))
     return Network(net.input_shape, nodes, net.output)

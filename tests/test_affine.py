@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
+import cpajvp.affine
 import nets
 from cpajvp import (BudgetExceeded, MaxPool, Network, Node, fixtures, forward,
                     frozen_forward, materialize_affine_direct,
                     materialize_affine_via_rop, record_states, region_equal)
+
+
+def headed(arch, seed, mode):
+    """A fixture family with a dense head that puts the probe in one
+    mode: 1 output (reverse, d_out < d_in) or d_in + 3 (forward)."""
+    net, x = fixtures.generate(arch, seed)
+    k = 1 if mode == "reverse" else x.size + 3
+    return fixtures.with_dense_head(net, k, seed), x
 
 
 def test_affine_map_reconstructs_forward():
@@ -32,6 +41,54 @@ def test_direct_and_probe_built_maps_agree():
         scale = 1.0 + np.max(np.abs(direct.a))
         assert np.max(np.abs(direct.a - probed.a)) <= 1e-9 * scale, arch
         assert np.max(np.abs(direct.b - probed.b)) <= 1e-12 * (1.0 + np.max(np.abs(direct.b)))
+
+
+@pytest.mark.parametrize("mode", ["reverse", "forward"])
+@pytest.mark.parametrize("arch", fixtures.ARCHITECTURES)
+def test_probe_takes_the_narrow_side(arch, mode, monkeypatch):
+    # reverse: one recording pass over [x, 0], then d_out transposed rows;
+    # forward: one pass over [x, 0, I] and no transposed pass. A cap of 3
+    # slices splits every pass wider than that into blocks
+    monkeypatch.setattr("cpajvp.network.BLOCK_WIDTH", 3)
+    passes = []
+
+    def spy(name, rows):
+        real = getattr(cpajvp.affine, name)
+
+        def counted(*args, **kwargs):
+            passes.append((name, len(rows(args))))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cpajvp.affine, name, counted)
+
+    spy("_forward_pass", lambda args: args[1])
+    spy("_transposed_pass", lambda args: args[2])
+    net, x = headed(arch, 5, mode)
+    direct = materialize_affine_direct(net, x)
+    d_out, d_in = direct.a.shape
+    probed = materialize_affine_via_rop(net, x)
+    if mode == "reverse":
+        assert d_out < d_in
+        assert passes == [("_forward_pass", 2), ("_transposed_pass", d_out)]
+    else:
+        assert d_out >= d_in
+        assert passes == [("_forward_pass", d_in + 2)]
+    assert np.max(np.abs(probed.a - direct.a)) <= 1e-9 * (1.0 + np.max(np.abs(direct.a)))
+    assert np.max(np.abs(probed.b - direct.b)) <= 1e-12 * (1.0 + np.max(np.abs(direct.b)))
+
+
+@pytest.mark.parametrize("mode", ["reverse", "forward"])
+@pytest.mark.parametrize("arch", fixtures.ARCHITECTURES)
+def test_probe_slope_has_no_cancellation_at_huge_offsets(arch, mode):
+    # scaling every offset and x by 2**30 scales every pre-activation
+    # exactly and keeps the region; the slices that carry A never see an
+    # additive term, so A must come out bit for bit as at scale 1
+    net, x = headed(arch, 6, mode)
+    big = nets.with_scaled_offsets(net, 2.0 ** 30)
+    small_map = materialize_affine_via_rop(net, x)
+    big_map = materialize_affine_via_rop(big, x * 2.0 ** 30)
+    assert np.array_equal(big_map.a, small_map.a)
+    assert np.array_equal(big_map.b, small_map.b * 2.0 ** 30)
 
 
 def test_offset_equals_frozen_replay_of_zero():

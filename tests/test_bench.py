@@ -1,4 +1,3 @@
-import dataclasses
 import io
 
 import numpy as np
@@ -9,7 +8,7 @@ from cpajvp import (BudgetExceeded, PassCounts, StrategyMismatch, fixtures,
                     run_benchmark, benchmark_forward, strategy_batch_jacobian,
                     strategy_clone, strategy_double_vjp)
 from cpajvp.bench import CSV_HEADER, _run_strategy
-from cpajvp.network import Network, Node
+from nets import with_scaled_offsets
 
 
 def bench_instance(arch="resnet-mini", seed=0):
@@ -135,21 +134,6 @@ def test_csv_writes_to_path(tmp_path):
     raw = dest.read_bytes()
     assert raw.startswith(b"strategy,d_in,d_out,")
     assert raw.count(b"\r\n") == 4
-
-
-def with_scaled_offsets(net, factor):
-    """Copy of net with every bias, recurrent bias and batch-norm shift
-    (beta and running mean) multiplied by factor."""
-    nodes = []
-    for node in net.nodes:
-        lay = node.layer
-        if hasattr(lay, "bias"):
-            lay = dataclasses.replace(lay, bias=lay.bias * factor)
-        if hasattr(lay, "beta"):
-            lay = dataclasses.replace(lay, beta=lay.beta * factor,
-                                      running_mean=lay.running_mean * factor)
-        nodes.append(Node(node.id, lay, node.inputs))
-    return Network(net.input_shape, nodes, net.output)
 
 
 @pytest.mark.parametrize("arch", fixtures.ARCHITECTURES)

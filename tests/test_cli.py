@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cpajvp import (forward, jvp_input, jvp_weight, parse_network,
-                    read_tensor, vjp_input, write_tensor)
+from cpajvp import (fixtures, forward, jvp_input, jvp_weight, parse_network,
+                    read_tensor, save_network, vjp_input, write_tensor)
 from cpajvp.cli import main
 
 
@@ -73,20 +73,24 @@ def test_jvp_weight_matches_library(netdir, tmp_path):
     assert np.array_equal(read_tensor(out), jvp_weight(net, x, target.id, d))
 
 
-def test_affine_methods_agree(netdir, tmp_path):
+@pytest.mark.parametrize("head", ["narrow", "wide"])
+def test_affine_methods_agree(netdir, tmp_path, head):
+    # a 1-wide head probes in reverse mode, a (d_in + 3)-wide one forward
+    net = parse_network(netdir / "net.json")
+    x = read_tensor(netdir / "x.ten")
+    net = fixtures.with_dense_head(net, 1 if head == "narrow" else x.size + 3, 0)
+    net_json = save_network(net, tmp_path / head)
     a1, b1 = tmp_path / "a1.ten", tmp_path / "b1.ten"
     a2, b2 = tmp_path / "a2.ten", tmp_path / "b2.ten"
-    assert run(["affine", "--net", netdir / "net.json", "--x", netdir / "x.ten",
+    assert run(["affine", "--net", net_json, "--x", netdir / "x.ten",
                 "--out-slope", a1, "--out-bias", b1, "--method", "direct"]) == 0
-    assert run(["affine", "--net", netdir / "net.json", "--x", netdir / "x.ten",
+    assert run(["affine", "--net", net_json, "--x", netdir / "x.ten",
                 "--out-slope", a2, "--out-bias", b2, "--method", "rop"]) == 0
     sa1, sa2 = read_tensor(a1), read_tensor(a2)
     assert sa1.shape == sa2.shape
     assert np.max(np.abs(sa1 - sa2)) <= 1e-9 * (1.0 + np.max(np.abs(sa1)))
     assert np.max(np.abs(read_tensor(b1) - read_tensor(b2))) <= 1e-12
 
-    net = parse_network(netdir / "net.json")
-    x = read_tensor(netdir / "x.ten")
     fx = forward(net, x)
     recon = sa1 @ x.reshape(-1) + read_tensor(b1)
     assert np.max(np.abs(recon - fx)) <= 1e-9 * (1.0 + np.max(np.abs(fx)))

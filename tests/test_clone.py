@@ -195,11 +195,10 @@ def test_jvp_weight_validates_node_and_shape():
 
 
 def test_passes_wider_than_the_cap_split_cleanly(monkeypatch):
-    # with a cap of 3 slices per pass, [0; I] and an 8-column probe block
-    # run in several passes; the additive terms must still reach only
-    # their rows
+    # with a cap of 3 slices per pass, the identity rows of the affine
+    # probe and an 8-column probe block run in several passes; the
+    # additive terms must still reach only their rows
     monkeypatch.setattr("cpajvp.network.BLOCK_WIDTH", 3)
-    monkeypatch.setattr("cpajvp.affine.BLOCK_WIDTH", 3)
     rng = np.random.default_rng(16)
     for arch in ALL_ARCHS:
         net, x = fixtures.generate(arch, 2)
