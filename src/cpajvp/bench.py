@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from statistics import mean, median, pstdev
+from statistics import mean, median, pstdev, quantiles
 
 import numpy as np
 
@@ -53,14 +53,18 @@ class BenchReport:
     median_s: float
     mean_s: float
     std_s: float
+    min_s: float
+    iqr_s: float
     passes: PassCounts = field(default_factory=PassCounts)
 
     def __post_init__(self):
         if self.repetitions < 10:
             raise ValueError(f"need at least 10 repetitions, got {self.repetitions}")
-        if self.median_s > self.mean_s + 3.0 * self.std_s + 1e-12:
-            raise ValueError(f"median {self.median_s} exceeds mean + 3 std "
-                             f"({self.mean_s} + 3 * {self.std_s})")
+        if not 0.0 <= self.min_s <= self.median_s:
+            raise ValueError(f"min {self.min_s} must lie in [0, median "
+                             f"{self.median_s}]")
+        if not self.iqr_s >= 0.0:
+            raise ValueError(f"interquartile range {self.iqr_s} must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +145,8 @@ def _run_strategy(name: str, net: Network, x, u,
 # ---------------------------------------------------------------------------
 # harness
 
-def _time_callable(fn, repetitions: int, warmup: int) -> tuple[float, float, float]:
+def _time_callable(fn, repetitions: int, warmup: int) -> dict[str, float]:
+    """Per-call wall times after warmup: median, mean, std, min and IQR."""
     for _ in range(warmup):
         fn()
     times = []
@@ -149,7 +154,9 @@ def _time_callable(fn, repetitions: int, warmup: int) -> tuple[float, float, flo
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return median(times), mean(times), pstdev(times)
+    q1, _, q3 = quantiles(times, n=4)
+    return {"median_s": median(times), "mean_s": mean(times),
+            "std_s": pstdev(times), "min_s": min(times), "iqr_s": q3 - q1}
 
 
 def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
@@ -188,11 +195,11 @@ def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
                     f"{err:.3e}); not timing a wrong answer")
     reports = []
     for name in strategies:
-        med, avg, std = _time_callable(lambda n=name: _run_strategy(n, net, x, u),
-                                       repetitions, warmup)
+        stats = _time_callable(lambda n=name: _run_strategy(n, net, x, u),
+                               repetitions, warmup)
         reports.append(BenchReport(strategy=name, d_in=d_in, d_out=d_out,
-                                   repetitions=repetitions, median_s=med,
-                                   mean_s=avg, std_s=std, passes=counted[name]))
+                                   repetitions=repetitions, passes=counted[name],
+                                   **stats))
     return reports
 
 
@@ -200,11 +207,11 @@ def benchmark_forward(net: Network, x: np.ndarray, repetitions: int = 100,
                       warmup: int = 5) -> BenchReport:
     """Baseline timing of the plain forward pass, for slowdown ratios."""
     shapes = shape_infer(net)
-    med, avg, std = _time_callable(lambda: forward(net, x), repetitions, warmup)
+    stats = _time_callable(lambda: forward(net, x), repetitions, warmup)
     return BenchReport(strategy="forward", d_in=int(np.prod(net.input_shape)),
                        d_out=int(np.prod(shapes[net.output])),
-                       repetitions=repetitions, median_s=med, mean_s=avg,
-                       std_s=std, passes=PassCounts(forward=1))
+                       repetitions=repetitions, passes=PassCounts(forward=1),
+                       **stats)
 
 
 CSV_HEADER = ["strategy", "d_in", "d_out", "reps", "median_s", "mean_s",

@@ -162,6 +162,7 @@ def _cmd_spectral(args) -> int:
     print("values:", " ".join(repr(float(v)) for v in res.values))
     print(f"iterations: {res.iterations} converged: {res.converged} "
           f"residual: {res.residual!r}")
+    print("residuals:", " ".join(repr(r) for r in res.residuals))
     print(f"rop_calls: {res.rop_calls} lop_calls: {res.lop_calls}")
     outputs = (("out_values", res.values), ("out_vectors", res.right_vectors),
                ("out_left", res.left_vectors), ("out_right", res.right_vectors))

@@ -1,9 +1,10 @@
 """Matrix-free spectral algorithms on top of the frozen-replay products.
 
 Nothing here ever sees the region matrix A itself. A LinearProbe wraps
-the two products u -> A u and v -> A^T v; block subspace iteration,
-block SVD, and the Monte Carlo estimators consume probes and count
-every product call, so the per-iteration call complexity is checkable.
+the two products u -> A u and v -> A^T v; block Lanczos (eigen), block
+Golub-Kahan (SVD) and the Monte Carlo estimators consume probes and
+count every product call, so the per-iteration call complexity is
+checkable.
 """
 from __future__ import annotations
 
@@ -130,8 +131,9 @@ def probe_from_network(net: Network, x: np.ndarray,
 
 @dataclass
 class SpectralResult:
-    """Outcome of a block iteration: values descending, the subspace
-    bases, and exact product-call counts for the run."""
+    """Outcome of a block Krylov run: values descending, the Ritz
+    vectors, exact product-call counts, and the residual of every
+    Rayleigh-Ritz check in order (the last one is ``residual``)."""
     values: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
@@ -140,6 +142,7 @@ class SpectralResult:
     residual: float
     rop_calls: int
     lop_calls: int
+    residuals: tuple[float, ...]
 
 
 def _orthonormal_init(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:
@@ -147,80 +150,186 @@ def _orthonormal_init(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:
     return q
 
 
+# A Krylov basis holds at most this many k-column blocks; past that a
+# thick restart keeps only the k Ritz vectors.
+_MAX_BLOCKS = 10
+# A direction is new when its part outside the basis exceeds this share
+# of the norm of the columns it came from; rounding leaves ~1e-15.
+_NEW_DIRECTION_TOL = 1e-12
+
+
+def _new_directions(basis: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the part of span(columns) outside
+    span(basis), which has orthonormal columns: two Gram-Schmidt passes,
+    then the SVD keeps only the directions that are really new."""
+    scale = np.linalg.norm(columns)
+    for _ in range(2):
+        columns = columns - basis @ (basis.T @ columns)
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    return u[:, s > _NEW_DIRECTION_TOL * scale]
+
+
+class _KrylovBasis:
+    """Orthonormal columns and their images under one product, grown a
+    block at a time. The newest block's images seed the next block."""
+
+    def __init__(self, dim: int, image_dim: int, k: int):
+        self.k = k
+        self.vectors = np.empty((dim, _MAX_BLOCKS * k))
+        self.images = np.empty((image_dim, _MAX_BLOCKS * k))
+        self.size = 0
+        self.newest = slice(0, 0)
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.vectors[:, :self.size]
+
+    @property
+    def aq(self) -> np.ndarray:
+        return self.images[:, :self.size]
+
+    @property
+    def seeds(self) -> np.ndarray:
+        return self.images[:, self.newest]
+
+    def full(self) -> bool:
+        return self.size + self.k > self.vectors.shape[1]
+
+    def append(self, new: np.ndarray, product) -> None:
+        """Add new orthonormal directions and their images from one
+        k-column product; zero columns pad the block to k, so every call
+        counts k whatever the number of new directions."""
+        r = new.shape[1]
+        block = np.zeros((self.vectors.shape[0], self.k))
+        block[:, :r] = new
+        self.newest = slice(self.size, self.size + r)
+        self.vectors[:, self.newest] = new
+        self.images[:, self.newest] = product(block)[:, :r]
+        self.size += r
+
+    def restart(self, ritz: np.ndarray) -> None:
+        """Shrink to the Ritz vectors Q ritz, ritz holding orthonormal
+        coefficient columns, and seed the next block from their images:
+        outside the basis these are the Ritz residuals, the directions
+        the next block would add. No product is needed."""
+        vectors, images = self.q @ ritz, self.aq @ ritz
+        self.size = ritz.shape[1]
+        self.vectors[:, :self.size] = vectors
+        self.images[:, :self.size] = images
+        self.newest = slice(0, self.size)
+
+
+def _check_iteration_args(k: int, k_max: int, max_iter: int) -> None:
+    if not 1 <= k <= k_max:
+        raise ShapeMismatch(f"k must be in [1, {k_max}], got {k}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def top_k_eigen(probe: LinearProbe, k: int, tol: float = 1e-8,
                 max_iter: int = 500, seed: int = 0) -> SpectralResult:
-    """Top-k eigenpairs by block subspace iteration.
+    """Top-k eigenpairs of a symmetric map by block Lanczos.
 
-    Per iteration: QR of the current image block, then k fresh rop
-    calls on the orthonormalized columns. Stops when the image block
-    is reproduced by the subspace, ||C - V Sigma||_F <= tol. Exactly
-    k * (iterations + 1) rop calls and no lop calls.
+    Starts from one seeded orthonormal k-column block. Each iteration
+    orthonormalizes the newest images against the whole basis and rops
+    the new directions as one k-column block. Rayleigh-Ritz over the
+    basis, with the projected matrix symmetrized, gives the k largest
+    Ritz values (algebraic, descending; negative ones included) and
+    the residual ||A Y - Y Theta||_F from the stored images, so a check
+    costs no product. The run stops when the residual is <= tol, after
+    max_iter iterations, or when no new direction is left: Rayleigh-
+    Ritz on an invariant or full basis is exact for a symmetric map.
+    For a map that is not symmetric the residual stays large and
+    converged says so. Past a fixed basis size a thick restart keeps
+    only the k Ritz vectors, and the next block comes from their
+    residuals. The call law is unchanged: exactly k * (iterations + 1)
+    rop calls and no lop calls.
     """
     if probe.dim_in != probe.dim_out:
         raise ShapeMismatch(f"eigen needs a square map, got "
                             f"({probe.dim_out}, {probe.dim_in})")
-    dim = probe.dim_in
-    if not 1 <= k <= dim:
-        raise ShapeMismatch(f"k must be in [1, {dim}], got {k}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_iteration_args(k, probe.dim_in, max_iter)
     rop0, lop0 = probe.rop_calls, probe.lop_calls
-    rng = _keyed_rng("eigen-init", seed)
-    v = _orthonormal_init(rng, dim, k)
-    c = probe.rop(v)
+    basis = _KrylovBasis(probe.dim_in, probe.dim_in, k)
+    basis.append(_orthonormal_init(_keyed_rng("eigen-init", seed), probe.dim_in, k),
+                 probe.rop)
     iterations = 0
-    converged = False
-    residual = np.inf
-    while iterations < max_iter:
-        v, sigma = qr_householder(c)
-        c = probe.rop(v)
-        residual = float(np.linalg.norm(c - v @ sigma, "fro"))
-        iterations += 1
-        if residual <= tol:
-            converged = True
+    residuals = []
+    while True:
+        t = basis.q.T @ basis.aq
+        theta, s = np.linalg.eigh((t + t.T) / 2.0)
+        theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
+        y, ay = basis.q @ s, basis.aq @ s
+        residuals.append(float(np.linalg.norm(ay - y * theta, "fro")))
+        if residuals[-1] <= tol or iterations == max_iter:
             break
-    return SpectralResult(values=np.diag(sigma).copy(), left_vectors=v,
-                          right_vectors=v, iterations=iterations,
-                          converged=converged, residual=residual,
-                          rop_calls=probe.rop_calls - rop0,
-                          lop_calls=probe.lop_calls - lop0)
+        if basis.full():
+            basis.restart(s)
+        new = _new_directions(basis.q, basis.seeds)
+        if new.shape[1] == 0:
+            break
+        basis.append(new, probe.rop)
+        iterations += 1
+    return SpectralResult(values=theta.copy(), left_vectors=y, right_vectors=y,
+                          iterations=iterations, converged=residuals[-1] <= tol,
+                          residual=residuals[-1], rop_calls=probe.rop_calls - rop0,
+                          lop_calls=probe.lop_calls - lop0,
+                          residuals=tuple(residuals))
 
 
 def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
               max_iter: int = 500, seed: int = 0) -> SpectralResult:
-    """Top-k singular triplets by alternating block iteration.
+    """Top-k singular triplets by block Golub-Kahan bidiagonalization.
 
-    Per iteration: QR of the image block gives U, k lop calls pull it
-    back, QR of that gives V and Sigma, then k rop calls refresh the
-    image block. Stops on ||C - U Sigma||_F <= tol. Exactly
-    k * iterations + k rop calls and k * iterations lop calls.
+    Starts from one seeded orthonormal k-column right block V and its
+    images A V. Each iteration turns the newest right images into new
+    left directions and lops them as one k-column block, then turns
+    those images into new right directions and rops them as one
+    k-column block. The triplets come from the SVD of
+    U^T A V = (A^T U)^T V. The residual is taken from both sides,
+    sqrt(||A X - Y S||_F^2 + ||A^T Y - X S||_F^2), from stored images:
+    one side alone is zero by construction whenever one basis spans the
+    other's images, whether or not the values are right. The stopping
+    rules and the thick restart are those of top_k_eigen. When
+    the map has rank r < k, the trailing triplets have value 0 and a
+    zero left vector, since no left direction is left to find. The call
+    law is unchanged: exactly k * iterations + k rop calls and
+    k * iterations lop calls.
     """
-    if not 1 <= k <= min(probe.dim_in, probe.dim_out):
-        raise ShapeMismatch(f"k must be in [1, {min(probe.dim_in, probe.dim_out)}], "
-                            f"got {k}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_iteration_args(k, min(probe.dim_in, probe.dim_out), max_iter)
     rop0, lop0 = probe.rop_calls, probe.lop_calls
-    rng = _keyed_rng("svd-init", seed)
-    v = _orthonormal_init(rng, probe.dim_in, k)
-    u = _orthonormal_init(rng, probe.dim_out, k)
-    sigma = rng.standard_normal((k, k))
-    c = probe.rop(v)
+    left = _KrylovBasis(probe.dim_out, probe.dim_in, k)
+    right = _KrylovBasis(probe.dim_in, probe.dim_out, k)
+    right.append(_orthonormal_init(_keyed_rng("svd-init", seed), probe.dim_in, k),
+                 probe.rop)
     iterations = 0
-    residual = float(np.linalg.norm(c - u @ sigma, "fro"))
-    converged = residual <= tol
-    while not converged and iterations < max_iter:
-        u, _ = qr_householder(c)
-        v, sigma = qr_householder(probe.lop(u))
-        c = probe.rop(v)
-        residual = float(np.linalg.norm(c - u @ sigma, "fro"))
+    residuals = []
+    while True:
+        p, sigma, rt = np.linalg.svd(left.aq.T @ right.q, full_matrices=left.size < k)
+        if len(sigma) < k:  # rank below k: zero values, zero left vectors
+            p = np.hstack([p, np.zeros((left.size, k - len(sigma)))])
+            sigma = np.concatenate([sigma, np.zeros(k - len(sigma))])
+        p, sigma, r = p[:, :k], sigma[:k], rt[:k].T
+        y, aty = left.q @ p, left.aq @ p
+        x, ax = right.q @ r, right.aq @ r
+        residuals.append(float(np.hypot(np.linalg.norm(ax - y * sigma, "fro"),
+                                        np.linalg.norm(aty - x * sigma, "fro"))))
+        if residuals[-1] <= tol or iterations == max_iter:
+            break
+        if right.full():  # each left block adds at most what a right one did
+            left.restart(p)
+            right.restart(r)
+        new = _new_directions(left.q, right.seeds)
+        if new.shape[1] == 0:
+            break
+        left.append(new, probe.lop)
+        right.append(_new_directions(right.q, left.seeds), probe.rop)
         iterations += 1
-        converged = residual <= tol
-    return SpectralResult(values=np.diag(sigma).copy(), left_vectors=u,
-                          right_vectors=v, iterations=iterations,
-                          converged=converged, residual=residual,
-                          rop_calls=probe.rop_calls - rop0,
-                          lop_calls=probe.lop_calls - lop0)
+    return SpectralResult(values=sigma, left_vectors=y, right_vectors=x,
+                          iterations=iterations, converged=residuals[-1] <= tol,
+                          residual=residuals[-1], rop_calls=probe.rop_calls - rop0,
+                          lop_calls=probe.lop_calls - lop0,
+                          residuals=tuple(residuals))
 
 
 def frobenius_norm_mc(probe: LinearProbe, n_samples: int,

@@ -1,4 +1,5 @@
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,7 +62,8 @@ def test_run_benchmark_reports():
     assert [r.strategy for r in reports] == ["batch-jacobian", "double-vjp", "clone"]
     for r in reports:
         assert r.repetitions == 10
-        assert r.median_s > 0.0
+        assert 0.0 < r.min_s <= r.median_s
+        assert r.iqr_s >= 0.0
         assert r.d_in == x.size
         assert r.d_out == forward(net, x).size
     fwd = benchmark_forward(net, x, repetitions=10, warmup=1)
@@ -91,12 +93,28 @@ def test_mismatching_strategy_aborts_run(monkeypatch):
 
 
 def test_report_rejects_implausible_stats():
+    from cpajvp import BenchReport
     with pytest.raises(ValueError, match="repetitions"):
-        from cpajvp import BenchReport
-        BenchReport("clone", 4, 4, 5, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError, match="median"):
-        from cpajvp import BenchReport
-        BenchReport("clone", 4, 4, 10, 2.0, 1.0, 0.1)
+        BenchReport("clone", 4, 4, 5, 1.0, 1.0, 0.0, 1.0, 0.0)
+    # no call can be faster than the fastest one
+    with pytest.raises(ValueError, match="min"):
+        BenchReport("clone", 4, 4, 10, 1.0, 1.0, 0.1, 2.0, 0.1)
+    with pytest.raises(ValueError, match="interquartile"):
+        BenchReport("clone", 4, 4, 10, 1.0, 1.0, 0.1, 0.5, -0.1)
+
+
+def test_timer_fills_min_and_iqr(monkeypatch):
+    durations = [5.0, 1.0, 4.0, 2.0, 3.0, 9.0, 6.0, 8.0, 7.0, 10.0]
+    ticks = []
+    for d in durations:
+        start = ticks[-1] if ticks else 0.0
+        ticks += [start, start + d]
+    monkeypatch.setattr("cpajvp.bench.time", SimpleNamespace(perf_counter=iter(ticks).__next__))
+    net, x, _ = bench_instance("mlp", 1)
+    report = benchmark_forward(net, x, repetitions=10, warmup=0)
+    assert report.median_s == 5.5 and report.mean_s == 5.5
+    assert report.min_s == 1.0
+    assert report.iqr_s == 8.25 - 2.75  # exclusive quartiles of 1..10
 
 
 def test_csv_layout():

@@ -127,6 +127,9 @@ def test_eigen_square_writes_descending_values(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "values:" in text and "rop_calls:" in text
+    lines = dict(line.split(":", 1) for line in text.splitlines() if ":" in line)
+    history = [float(r) for r in lines["residuals"].split()]
+    assert repr(history[-1]) in lines["iterations"]  # the final residual
     vals = read_tensor(out)
     assert vals.shape == (2,)
     assert vals[0] >= vals[1]

@@ -4,8 +4,8 @@ import pytest
 import nets
 from cpajvp import (AdjointMismatch, LinearProbe, ShapeMismatch,
                     frobenius_norm_mc, jvp_input, materialize_affine_direct,
-                    probe_from_network, top_k_eigen, top_k_svd, trace_mc,
-                    vjp_input)
+                    probe_from_network, qr_householder, top_k_eigen, top_k_svd,
+                    trace_mc, vjp_input)
 from cpajvp import fixtures, forward
 from cpajvp.network import BLOCK_WIDTH
 from cpajvp.spectral import _keyed_rng
@@ -219,6 +219,151 @@ def test_top_k_svd_validates_arguments():
         top_k_svd(p, k=4)  # k > min(m, n)
     with pytest.raises(ValueError):
         top_k_svd(p, k=1, max_iter=-1)
+
+
+# ---------------------------------------------------------------------------
+# block Krylov edge cases: each asserts the call law and the oracle values
+
+def eigen_run(m, k, tol=1e-10, max_iter=500):
+    p = matrix_probe(m)
+    res = top_k_eigen(p, k=k, tol=tol, max_iter=max_iter, seed=0)
+    assert (res.rop_calls, res.lop_calls) == (k * (res.iterations + 1), 0)
+    assert (p.rop_calls, p.lop_calls) == (res.rop_calls, res.lop_calls)
+    assert len(res.residuals) == res.iterations + 1
+    assert res.residuals[-1] == res.residual
+    assert res.converged == (res.residual <= tol)
+    return res
+
+
+def svd_run(a, k, tol=1e-10, max_iter=500):
+    p = matrix_probe(a)
+    res = top_k_svd(p, k=k, tol=tol, max_iter=max_iter, seed=0)
+    assert (res.rop_calls, res.lop_calls) == (k * res.iterations + k, k * res.iterations)
+    assert (p.rop_calls, p.lop_calls) == (res.rop_calls, res.lop_calls)
+    assert len(res.residuals) == res.iterations + 1
+    assert res.residuals[-1] == res.residual
+    assert res.converged == (res.residual <= tol)
+    return res
+
+
+def close(got, want, rel=1e-10):
+    return np.max(np.abs(got - want)) <= rel * (1.0 + np.max(np.abs(want)))
+
+
+def spectrum_map(seed, vals, rotate=True):
+    """Symmetric map with the given eigenvalues: Q diag(vals) Q^T, or a
+    shuffled diagonal, whose oracle is immediate at large d."""
+    rng = np.random.default_rng(seed)
+    if not rotate:
+        return np.diag(rng.permutation(vals))
+    q, _ = qr_householder(rng.standard_normal((len(vals), len(vals))))
+    w = q @ np.diag(vals) @ q.T
+    return (w + w.T) / 2.0
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_eigen_basis_fills_the_space(k):
+    m, _ = gapped_symmetric(12, 8)
+    res = eigen_run(m, k, tol=1e-11)
+    assert res.converged
+    assert close(res.values, dense_eig_symmetric(m)[0][:k])
+    if k == 8:
+        assert res.iterations == 0  # the start block is already the space
+
+
+@pytest.mark.parametrize("shape,k", [((12, 8), 3), ((8, 12), 3), ((12, 8), 8)])
+def test_svd_basis_fills_the_space(shape, k):
+    a = np.random.default_rng(13).standard_normal(shape)
+    res = svd_run(a, k, tol=1e-11)
+    assert res.converged
+    assert close(res.values, dense_svd(a)[1][:k])
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+def test_breakdown_on_low_rank_maps(rank):
+    rng = np.random.default_rng(14)
+    u, w = rng.standard_normal(10), rng.standard_normal(7)
+    sym = rank * 4.0 * np.outer(u, u) / (u @ u)
+    res = eigen_run(sym, 3)
+    assert res.converged
+    want = dense_eig_symmetric(sym)[0][:3]
+    assert close(want, [4.0 * rank, 0.0, 0.0], rel=1e-13)
+    assert close(res.values, want, rel=1e-13)
+    if rank == 0:
+        assert res.iterations == 0
+
+    rect = rank * 3.0 * np.outer(u, w) / np.sqrt((u @ u) * (w @ w))
+    res = svd_run(rect, 3)
+    assert res.converged
+    assert close(res.values, dense_svd(rect)[1][:3], rel=1e-13)
+    for i in range(3):  # A v == sigma u, zero left vectors for zero values
+        r = rect @ res.right_vectors[:, i] - res.values[i] * res.left_vectors[:, i]
+        assert np.max(np.abs(r)) <= 1e-13
+
+
+def test_eigen_returns_the_largest_algebraic_values_of_an_indefinite_map():
+    vals = np.array([-30.0, -12.0, 8.0, 5.0, 2.0, 0.5, -0.3, 0.1, -2.0, 1.0, -5.0, 0.0])
+    m = spectrum_map(15, vals)
+    res = eigen_run(m, 3)
+    assert res.converged
+    want = dense_eig_symmetric(m)[0][:3]
+    assert close(want, [8.0, 5.0, 2.0])
+    assert close(res.values, want)
+
+
+def test_eigen_on_a_non_symmetric_map_reports_its_residual_honestly():
+    a = np.random.default_rng(16).standard_normal((6, 6))
+    res = eigen_run(a, 3, tol=1e-9)
+    # the basis fills the space: the Ritz values are the symmetric part's,
+    # but the Ritz vectors are no eigenvectors of A
+    assert close(res.values, dense_eig_symmetric((a + a.T) / 2.0)[0][:3])
+    assert not res.converged and res.residual > 1e-3
+    loose = eigen_run(a, 3, tol=2.0 * res.residual)
+    assert loose.converged and loose.iterations <= res.iterations
+
+
+def test_slow_spectra_take_the_restart_path(monkeypatch):
+    from cpajvp import spectral
+    restarts = []
+    real = spectral._KrylovBasis.restart
+    monkeypatch.setattr(spectral._KrylovBasis, "restart",
+                        lambda self, ritz: restarts.append(1) or real(self, ritz))
+    vals = 10.0 * 0.95 ** np.arange(200)
+    m = spectrum_map(17, vals, rotate=False)
+    res = eigen_run(m, 3, tol=1e-9, max_iter=500)
+    assert res.converged and restarts
+    assert res.iterations >= spectral._MAX_BLOCKS
+    assert close(res.values, dense_eig_symmetric(m)[0][:3])
+
+    restarts.clear()
+    a = np.zeros((200, 120))
+    rng = np.random.default_rng(18)
+    a[rng.permutation(200)[:120], rng.permutation(120)] = 5.0 * 0.95 ** np.arange(120)
+    res = svd_run(a, 3, tol=1e-9, max_iter=500)
+    assert res.converged and restarts
+    assert close(res.values, dense_svd(a)[1][:3])
+
+
+@pytest.mark.parametrize("d", [24, 32, 512])
+def test_eigen_converges_in_few_iterations(d):
+    # the acceptance-7 spectrum: subspace iteration needs ~40 iterations
+    m = spectrum_map(19, 10.0 * 0.55 ** np.arange(d), rotate=d < 100)
+    res = eigen_run(m, 3, tol=1e-9, max_iter=200)
+    assert res.converged and res.iterations <= 10
+    assert close(res.values, dense_eig_symmetric(m)[0][:3], rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(32, 20), (20, 32), (28, 14)])
+def test_svd_converges_in_few_iterations(shape):
+    # the acceptance-8 spectrum: alternating iteration needs ~17 iterations
+    rng = np.random.default_rng(20)
+    r = min(shape)
+    qu, _ = qr_householder(rng.standard_normal((shape[0], r)))
+    qv, _ = qr_householder(rng.standard_normal((shape[1], r)))
+    a = qu @ np.diag(5.0 * 0.5 ** np.arange(r)) @ qv.T
+    res = svd_run(a, 3, tol=1e-9, max_iter=300)
+    assert res.converged and res.iterations <= 10
+    assert close(res.values, dense_svd(a)[1][:3], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
