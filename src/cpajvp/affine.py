@@ -196,9 +196,9 @@ def materialize_affine_via_rop(net: Network, x: np.ndarray,
 
     One recording pass carries x as slice 0, which decides the region,
     and a zero input as slice 1; the additive terms reach these two
-    slices only, so slice 1 comes out as b. When d_out < d_in the same
-    pass keeps its feature maps and one transposed pass over the rows of
-    I_{d_out} gives the rows of A (reverse mode). Otherwise the pass also
+    slices only, so slice 1 comes out as b. When d_out < d_in one
+    transposed pass over the rows of I_{d_out} on the states that pass
+    records gives the rows of A (reverse mode). Otherwise the pass also
     carries the rows of I_{d_in}, which come out as the columns of A
     (forward mode). Either way the identity holds min(d_in, d_out)²
     entries and A is never the difference of two affine outputs.
@@ -207,16 +207,14 @@ def materialize_affine_via_rop(net: Network, x: np.ndarray,
     pre-activation at x is within rounding of 0 it can be the
     neighbouring region of the one ``record_states`` takes.
     """
-    shapes = shape_infer(net)
-    d_in = int(np.prod(net.input_shape))
-    out_shape = shapes[net.output]
-    d_out = int(np.prod(out_shape))
+    plan = net.plan
+    d_in, d_out, out_shape = plan.d_in, plan.d_out, plan.out_shape
     if d_in * d_out > budget:
         raise BudgetExceeded(f"slope needs {d_in * d_out} entries, "
                              f"budget is {budget}")
-    pair = np.concatenate([_single(net, x), np.zeros((1,) + tuple(net.input_shape))])
+    pair = np.concatenate([_single(net, x), np.zeros((1,) + net.input_shape)])
     if d_out < d_in:
-        out, state = _forward_pass(net, pair, 2, keep_outputs=True)
+        out, state = _forward_pass(net, pair, 2)
         rows = _transposed_pass(net, state, np.eye(d_out).reshape((d_out,) + out_shape))
         a = rows.reshape(d_out, d_in)
     else:

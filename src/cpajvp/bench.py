@@ -28,7 +28,7 @@ import numpy as np
 
 from .affine import BudgetExceeded
 from .network import Network, _forward_pass, _single, _transposed_pass, \
-    forward, record_states, shape_infer
+    forward, record_states
 from .numerics import check_finite
 
 
@@ -77,8 +77,7 @@ def strategy_batch_jacobian(net: Network, x: np.ndarray, u: np.ndarray,
     _, state = record_states(net, x)
     if counts is not None:
         counts.forward += 1
-    out_shape = state.outputs[net.output].shape
-    d_out = int(np.prod(out_shape))
+    out_shape, d_out = net.plan.out_shape, net.plan.d_out
     if d_out > row_budget:
         raise BudgetExceeded(f"{d_out} Jacobian rows exceed the row budget "
                              f"{row_budget}")
@@ -106,7 +105,7 @@ def strategy_double_vjp(net: Network, x: np.ndarray, u: np.ndarray,
     _, state = record_states(net, x)
     if counts is not None:
         counts.forward += 1
-    probe = np.ones((1,) + state.outputs[net.output].shape)
+    probe = np.ones((1,) + net.plan.out_shape)
     _transposed_pass(net, state, probe)  # result discarded
     if counts is not None:
         counts.transposed += 1
@@ -174,9 +173,7 @@ def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     strategies = list(strategies)
-    shapes = shape_infer(net)
-    d_in = int(np.prod(net.input_shape))
-    d_out = int(np.prod(shapes[net.output]))
+    plan = net.plan
     results = {}
     counted = {}
     for name in strategies:
@@ -197,7 +194,7 @@ def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
     for name in strategies:
         stats = _time_callable(lambda n=name: _run_strategy(n, net, x, u),
                                repetitions, warmup)
-        reports.append(BenchReport(strategy=name, d_in=d_in, d_out=d_out,
+        reports.append(BenchReport(strategy=name, d_in=plan.d_in, d_out=plan.d_out,
                                    repetitions=repetitions, passes=counted[name],
                                    **stats))
     return reports
@@ -206,10 +203,8 @@ def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
 def benchmark_forward(net: Network, x: np.ndarray, repetitions: int = 100,
                       warmup: int = 5) -> BenchReport:
     """Baseline timing of the plain forward pass, for slowdown ratios."""
-    shapes = shape_infer(net)
     stats = _time_callable(lambda: forward(net, x), repetitions, warmup)
-    return BenchReport(strategy="forward", d_in=int(np.prod(net.input_shape)),
-                       d_out=int(np.prod(shapes[net.output])),
+    return BenchReport(strategy="forward", d_in=net.plan.d_in, d_out=net.plan.d_out,
                        repetitions=repetitions, passes=PassCounts(forward=1),
                        **stats)
 

@@ -18,7 +18,7 @@ from . import fixtures
 from .affine import BudgetExceeded, materialize_affine_direct, \
     materialize_affine_via_rop
 from .clone import jvp_input, jvp_weight, vjp_input
-from .network import GraphError, ShapeMismatch, shape_infer
+from .network import GraphError, ShapeMismatch
 from .spectral import AdjointMismatch, frobenius_norm_mc, probe_from_network, \
     top_k_eigen, top_k_svd, trace_mc
 from .tenio import NetworkSchemaError, TensorFormatError, parse_network, \
@@ -218,9 +218,7 @@ def _cmd_gen(args) -> int:
     out = Path(args.out)
     path = save_network(net, out, weights=args.weights)
     write_tensor(out / "x.ten", x)
-    shapes = shape_infer(net)
-    print(f"{path} input {tuple(net.input_shape)} output "
-          f"{shapes[net.output]}")
+    print(f"{path} input {net.input_shape} output {net.plan.out_shape}")
     return 0
 
 

@@ -17,20 +17,19 @@ import numpy as np
 
 from .network import (
     FrozenState, GraphError, Network, ShapeMismatch, _forward_pass,
-    _single, _transposed_pass, as_f64, record_states, validate,
+    _single, _transposed_pass, as_f64, record_states,
 )
 from .numerics import check_finite
 
 
 def _check_state(net: Network, state: FrozenState) -> None:
-    ids = {n.id for n in net.nodes}
-    if set(state.outputs) != ids:
-        extra = set(state.outputs) ^ ids
+    ids = net.plan.ids
+    if state.node_ids != ids:
         raise GraphError(f"frozen state does not belong to this network "
-                         f"(mismatched nodes: {sorted(extra)[:3]})")
-    if state.input.shape != tuple(net.input_shape):
+                         f"(mismatched nodes: {sorted(state.node_ids ^ ids)[:3]})")
+    if state.input.shape != net.input_shape:
         raise ShapeMismatch(f"state was recorded on input {state.input.shape}, "
-                            f"network expects {tuple(net.input_shape)}")
+                            f"network expects {net.input_shape}")
 
 
 def frozen_forward(net: Network, state: FrozenState, v: np.ndarray,
@@ -43,7 +42,6 @@ def frozen_forward(net: Network, state: FrozenState, v: np.ndarray,
     """
     if mode not in ("affine", "linear"):
         raise ValueError(f"mode must be 'affine' or 'linear', got {mode!r}")
-    validate(net)
     _check_state(net, state)
     out, _ = _forward_pass(net, _single(net, v), int(mode == "affine"), state)
     return out[0]
@@ -58,7 +56,7 @@ def jvp_input(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _vjp(net: Network, state: FrozenState, v) -> np.ndarray:
     v = as_f64(v)
-    out_shape = state.outputs[net.output].shape
+    out_shape = net.plan.out_shape
     if v.shape != out_shape:
         raise ShapeMismatch(f"cotangent shape {v.shape} does not match "
                             f"output {out_shape}")
@@ -67,7 +65,6 @@ def _vjp(net: Network, state: FrozenState, v) -> np.ndarray:
 
 def frozen_vjp(net: Network, state: FrozenState, v: np.ndarray) -> np.ndarray:
     """Transposed frozen replay: A^T v for the recorded region."""
-    validate(net)
     _check_state(net, state)
     return _vjp(net, state, v)
 
@@ -93,8 +90,7 @@ def jvp_weight(net: Network, x: np.ndarray, node_id: str,
     0's; at a pre-activation within rounding of 0 it may differ from
     record_states' region at x alone.
     """
-    validate(net)
-    target = next((n for n in net.nodes if n.id == node_id), None)
+    target = net.plan.by_id.get(node_id)
     if target is None:
         raise GraphError(f"no node named {node_id!r}")
     name = getattr(target.layer, "weight_field", None)

@@ -9,23 +9,17 @@ bit for bit and independent of call order.
 """
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .network import (
     Activation, Add, BatchNormInference, Concat, Conv2D, Dense, Dropout,
     Flatten, MaxPool, Network, Node, Recurrent,
 )
+from .numerics import keyed_rng as _rng
 
 ARCHITECTURES = ("mlp", "cnn", "rnn", "resnet-mini", "unet-mini")
 
 _LEAK_CHOICES = (0.0, 0.0, 0.1, 0.3, -1.0)
-
-
-def _rng(*parts) -> np.random.Generator:
-    digest = hashlib.blake2s("/".join(str(p) for p in parts).encode()).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
 
 
 def _dense(rng, d_out: int, d_in: int) -> Dense:
@@ -196,15 +190,12 @@ def generate(arch: str, seed: int, scale: int = 1) -> tuple[Network, np.ndarray]
 def with_dense_head(net: Network, k: int, seed: int) -> Network:
     """Append a seeded dense head mapping the (flattened) output to k
     coordinates; used by the benchmark output-size sweep."""
-    from .network import shape_infer
-    shapes = shape_infer(net)
-    out_shape = shapes[net.output]
+    out_shape = net.plan.out_shape
     nodes = list(net.nodes)
     prev = net.output
     if len(out_shape) != 1:
         nodes.append(Node("sweep_flat", Flatten(), (prev,)))
         prev = "sweep_flat"
-    d = int(np.prod(out_shape))
     rng = _rng(seed, "sweep-head", k)
-    nodes.append(Node("sweep_head", _dense(rng, int(k), d), (prev,)))
+    nodes.append(Node("sweep_head", _dense(rng, int(k), net.plan.d_out), (prev,)))
     return Network(net.input_shape, nodes, "sweep_head")

@@ -13,19 +13,19 @@ and ``transpose`` (adjoint step on a frozen region). On a region every
 layer is diag(q) W plus an additive term, which ``apply`` adds to the
 first ``n_aff`` slices only; a nonlinearity without a frozen state takes
 its decision from slice 0 and applies it to every slice. One forward and
-one transposed engine over these methods serve every pass.
+one transposed engine over these methods serve every pass, and all of
+them read the network's Plan, built once on first use.
 """
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import numerics
-from .numerics import ShapeMismatch, as_f64, check_finite
+from .numerics import ShapeMismatch, as_f64, check_finite, keyed_rng, read_only
 
 INPUT_ID = "input"
 
@@ -41,6 +41,7 @@ class GraphError(ValueError):
 # ---------------------------------------------------------------------------
 # layer specs
 #
+# check(nid, n_inputs) raises GraphError for bad wiring or parameters.
 # infer(nid, shapes) gives the output shape from per-sample input shapes.
 # apply(nid, ins, n_aff, state, record) maps input batches to an output
 # batch; with record it stores its decisions, taken from slice 0, in state.
@@ -55,7 +56,20 @@ def _add_affine(out: np.ndarray, term, n_aff: int) -> np.ndarray:
     return out
 
 
-class _Elementwise:
+class _Layer:
+    """Spec defaults: one input (two or more when ``merges``), no
+    parameter to check."""
+    merges = False
+
+    def check(self, nid, n_inputs):
+        if self.merges and n_inputs < 2:
+            raise GraphError(f"node {nid!r} needs at least two inputs")
+        if not self.merges and n_inputs != 1:
+            raise GraphError(f"node {nid!r}: {type(self).__name__} takes exactly "
+                             f"one input, got {n_inputs}")
+
+
+class _Elementwise(_Layer):
     """Layers that scale each entry on a region: the frozen map is a
     diagonal, so the transpose is the linear apply itself."""
 
@@ -67,7 +81,7 @@ class _Elementwise:
 
 
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Layer):
     weights: np.ndarray  # (d_out, d_in)
     bias: np.ndarray     # (d_out,)
     weight_field = "weights"
@@ -85,9 +99,6 @@ class Dense:
 
     def apply(self, nid, ins, n_aff, state, record):
         (v,) = ins
-        if v.ndim != 2 or v.shape[1] != self.weights.shape[1]:
-            raise ShapeMismatch(f"node {nid!r}: dense expects "
-                                f"({self.weights.shape[1]},), got {v.shape[1:]}")
         return _add_affine(v.dot(self.weights.T), self.bias, n_aff)
 
     def transpose(self, nid, g, state, shapes):
@@ -100,7 +111,7 @@ def _merge(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Conv2D:
+class Conv2D(_Layer):
     filters: np.ndarray  # (kh, kw, C, F)
     bias: np.ndarray     # (F,)
     stride: tuple[int, int] = (1, 1)
@@ -149,7 +160,7 @@ class Activation(_Elementwise):
 
 
 @dataclass(frozen=True)
-class MaxPool:
+class MaxPool(_Layer):
     ksize: tuple[int, int]
     stride: Optional[tuple[int, int]] = None  # defaults to ksize
     padding: str = "valid"
@@ -186,6 +197,12 @@ class Dropout(_Elementwise):
     rate: float
     training: bool = False
     seed: int = 0
+
+    def check(self, nid, n_inputs):
+        super().check(nid, n_inputs)
+        if not 0.0 <= self.rate < 1.0:
+            raise GraphError(f"node {nid!r}: dropout rate must be in [0, 1), "
+                             f"got {self.rate}")
 
     def apply(self, nid, ins, n_aff, state, record):
         (v,) = ins
@@ -228,7 +245,7 @@ class BatchNormInference(_Elementwise):
 
 
 @dataclass(frozen=True)
-class Flatten:
+class Flatten(_Layer):
     def infer(self, nid, shapes):
         return (int(np.prod(shapes[0])),)
 
@@ -240,7 +257,9 @@ class Flatten:
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Layer):
+    merges = True
+
     def infer(self, nid, shapes):
         for s in shapes[1:]:
             if s != shapes[0]:
@@ -258,8 +277,9 @@ class Add:
 
 
 @dataclass(frozen=True)
-class Concat:
+class Concat(_Layer):
     axis: int
+    merges = True
 
     def infer(self, nid, shapes):
         first = shapes[0]
@@ -282,7 +302,7 @@ class Concat:
 
 
 @dataclass(frozen=True)
-class Recurrent:
+class Recurrent(_Layer):
     """Elman-style cell unrolled over the leading input axis.
 
     h_t = act(w_hidden @ h_{t-1} + w_input @ x_t + bias), h_0 = 0,
@@ -293,6 +313,11 @@ class Recurrent:
     bias: np.ndarray      # (hidden,)
     leakiness: float
     steps: int
+
+    def check(self, nid, n_inputs):
+        super().check(nid, n_inputs)
+        if self.steps < 1:
+            raise GraphError(f"node {nid!r}: steps must be >= 1")
 
     def infer(self, nid, shapes):
         (s,) = shapes
@@ -335,34 +360,64 @@ class Recurrent:
         return [gx.reshape((b,) + shapes[0])]
 
 
-LayerSpec = (Dense, Conv2D, Activation, MaxPool, Dropout, BatchNormInference,
-             Flatten, Add, Concat, Recurrent)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Node:
     id: str
     layer: object
     inputs: tuple[str, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "inputs", tuple(self.inputs))
 
-@dataclass
+
+@dataclass(frozen=True)
+class Plan:
+    """What the graph alone decides, derived once per network."""
+    shapes: dict[str, tuple[int, ...]]  # per-sample output shapes, input's too
+    ids: frozenset[str]
+    in_shapes: dict[str, tuple[tuple[int, ...], ...]]  # of each node's inputs
+    by_id: dict[str, Node]
+    out_shape: tuple[int, ...]
+    d_in: int   # flat input and output sizes
+    d_out: int
+
+
+@dataclass(frozen=True)
 class Network:
+    """A layer graph, immutable: nodes and their inputs are stored as
+    tuples (lists are accepted). The graph is validated and its shapes
+    inferred once, on first use, into ``plan``; a bad graph constructs
+    and raises there."""
     input_shape: tuple[int, ...]
-    nodes: list[Node]
+    nodes: tuple[Node, ...]
     output: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "input_shape", tuple(self.input_shape))
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+
+    @functools.cached_property
+    def plan(self) -> Plan:
+        validate(self)
+        shapes: dict[str, tuple[int, ...]] = {INPUT_ID: self.input_shape}
+        in_shapes = {}
+        for node in self.nodes:
+            ins = in_shapes[node.id] = tuple(shapes[r] for r in node.inputs)
+            shapes[node.id] = node.layer.infer(node.id, ins)
+        out_shape = shapes[self.output]
+        return Plan(shapes=shapes, ids=frozenset(in_shapes), in_shapes=in_shapes,
+                    by_id={node.id: node for node in self.nodes},
+                    out_shape=out_shape, d_in=int(np.prod(self.input_shape)),
+                    d_out=int(np.prod(out_shape)))
 
 
 # ---------------------------------------------------------------------------
 # validation and shape inference
 
-_SINGLE_INPUT = (Dense, Conv2D, Activation, MaxPool, Dropout,
-                 BatchNormInference, Flatten, Recurrent)
-
-
 def validate(net: Network) -> None:
     """Structural checks: unique ids, inputs precede consumers, output
-    exists. Raises GraphError naming the offending node."""
+    exists, and each spec's own arity and parameter checks. Raises
+    GraphError naming the offending node."""
     if not net.nodes:
         raise GraphError("network has no nodes")
     if any(d < 1 for d in net.input_shape) or not net.input_shape:
@@ -373,16 +428,9 @@ def validate(net: Network) -> None:
             raise GraphError(f"node id {INPUT_ID!r} is reserved for the network input")
         if node.id in seen:
             raise GraphError(f"duplicate node id {node.id!r}")
-        if not isinstance(node.layer, LayerSpec):
+        if not isinstance(node.layer, _Layer):
             raise GraphError(f"node {node.id!r}: unknown layer {type(node.layer).__name__}")
-        if not node.inputs:
-            raise GraphError(f"node {node.id!r} has no inputs")
-        if isinstance(node.layer, _SINGLE_INPUT) and len(node.inputs) != 1:
-            raise GraphError(
-                f"node {node.id!r}: {type(node.layer).__name__} takes exactly "
-                f"one input, got {len(node.inputs)}")
-        if isinstance(node.layer, (Add, Concat)) and len(node.inputs) < 2:
-            raise GraphError(f"node {node.id!r} needs at least two inputs")
+        node.layer.check(node.id, len(node.inputs))
         for ref in node.inputs:
             if ref not in seen:
                 raise GraphError(
@@ -391,21 +439,12 @@ def validate(net: Network) -> None:
         seen.add(node.id)
     if net.output not in seen or net.output == INPUT_ID:
         raise GraphError(f"output node {net.output!r} does not exist")
-    for node in net.nodes:
-        if isinstance(node.layer, Dropout) and not 0.0 <= node.layer.rate < 1.0:
-            raise GraphError(f"node {node.id!r}: dropout rate must be in [0, 1), "
-                             f"got {node.layer.rate}")
-        if isinstance(node.layer, Recurrent) and node.layer.steps < 1:
-            raise GraphError(f"node {node.id!r}: steps must be >= 1")
 
 
 def shape_infer(net: Network) -> dict[str, tuple[int, ...]]:
-    """Shapes of every node output, keyed by node id. Validates the graph."""
-    validate(net)
-    shapes: dict[str, tuple[int, ...]] = {INPUT_ID: tuple(net.input_shape)}
-    for node in net.nodes:
-        shapes[node.id] = node.layer.infer(node.id, [shapes[r] for r in node.inputs])
-    return shapes
+    """Shapes of every node output, keyed by node id: a fresh copy of
+    the network's plan, so it validates the graph on first use."""
+    return dict(net.plan.shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +454,14 @@ def dropout_mask(seed: int, node_id: str, shape: tuple[int, ...],
                  rate: float) -> np.ndarray:
     """Reproducible keep mask: counter-based generator keyed by (seed,
     node id), independent of draw order anywhere else."""
-    digest = hashlib.blake2s(f"dropout/{seed}/{node_id}".encode()).digest()
-    rng = np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
-    return rng.random(shape) >= rate
+    return keyed_rng("dropout", seed, node_id).random(shape) >= rate
 
 
 @functools.lru_cache(maxsize=256)
 def _shared_dropout_mask(seed, node_id, shape, rate) -> np.ndarray:
     """dropout_mask drawn once per key and shared, read-only, by every
     recording of that node."""
-    mask = dropout_mask(seed, node_id, shape, rate)
-    mask.flags.writeable = False
-    return mask
+    return read_only(dropout_mask(seed, node_id, shape, rate))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +469,19 @@ def _shared_dropout_mask(seed, node_id, shape, rate) -> np.ndarray:
 
 @dataclass
 class FrozenState:
-    """Nonlinearity states plus feature maps recorded at one input.
+    """Nonlinearity states recorded at one input; no feature maps (the
+    former ``outputs`` field and the engine's ``keep_outputs`` are gone).
 
+    input: the recording input;
+    node_ids: the node-id set of the recording network's plan, which
+              ties the state to its network;
     sign_masks: activation nodes, True where pre-activation >= 0
                 (recurrent nodes store a (steps, hidden) stack);
     argmax_indices: max-pool winners as flat offsets into the node input;
-    keep_masks: training-mode dropout keep masks;
-    outputs: every node's recorded output, used by the transposed
-             engine and shape checks.
+    keep_masks: training-mode dropout keep masks.
     """
     input: np.ndarray
-    outputs: dict[str, np.ndarray]
+    node_ids: frozenset[str]
     sign_masks: dict[str, np.ndarray] = field(default_factory=dict)
     argmax_indices: dict[str, np.ndarray] = field(default_factory=dict)
     keep_masks: dict[str, np.ndarray] = field(default_factory=dict)
@@ -453,62 +490,55 @@ class FrozenState:
 # ---------------------------------------------------------------------------
 # the two engines
 
-def _forward_block(net, batch, n_aff, state, patch, keep_outputs):
+def _forward_block(net, batch, n_aff, state, patch):
     record = state is None
     if record:
-        state = FrozenState(batch[0], {})
+        state = FrozenState(batch[0], net.plan.ids)
     values = {INPUT_ID: batch}
     for node in net.nodes:
         ins = [values[r] for r in node.inputs]
         out = node.layer.apply(node.id, ins, n_aff, state, record)
         values[node.id] = patch[node.id](out, ins) if node.id in patch else out
-    if record and keep_outputs:
-        state.outputs = {node.id: values[node.id][0] for node in net.nodes}
     return values[net.output], state
 
 
 def _forward_pass(net: Network, batch: np.ndarray, n_aff: int,
                   state: FrozenState | None = None,
-                  patch: dict | None = None,
-                  keep_outputs: bool = False) -> tuple[np.ndarray, FrozenState]:
+                  patch: dict | None = None) -> tuple[np.ndarray, FrozenState]:
     """The forward engine: push a (B, *input_shape) batch through the graph.
 
     Additive terms reach the first n_aff slices only, so a slice outside
     them comes out as the frozen linear map of its input. With state
     None the nonlinearity decisions are taken from slice 0 and recorded
-    into the returned state, which also keeps every node's slice-0
-    output when keep_outputs is set; otherwise the given state is
-    replayed. ``patch`` maps node ids to functions (output batch, input
-    batches) -> output batch, run right after the node's layer; callers
-    that patch pass at most BLOCK_WIDTH slices. Returns the
+    into the returned state; otherwise the given state is replayed.
+    ``patch`` maps node ids to functions (output batch, input batches)
+    -> output batch, run right after the node's layer; callers that
+    patch pass at most BLOCK_WIDTH slices. Returns the
     (B, *output_shape) batch and the state.
     """
     check_finite(batch, "input")
     patch = patch or {}
     if len(batch) <= BLOCK_WIDTH:
-        return _forward_block(net, batch, n_aff, state, patch, keep_outputs)
+        return _forward_block(net, batch, n_aff, state, patch)
     outs = []
     for start in range(0, len(batch), BLOCK_WIDTH):
         out, state = _forward_block(net, batch[start:start + BLOCK_WIDTH],
-                                    max(n_aff - start, 0), state, patch, keep_outputs)
+                                    max(n_aff - start, 0), state, patch)
         outs.append(out)
     return np.concatenate(outs), state
 
 
 def _transposed_block(net, state, g):
-    shapes = {INPUT_ID: state.input.shape}
-    shapes.update((nid, out.shape) for nid, out in state.outputs.items())
+    in_shapes = net.plan.in_shapes
     cot = {net.output: g}
     for node in reversed(net.nodes):
         gn = cot.pop(node.id, None)
         if gn is None:
             continue  # node does not feed the output
-        parts = node.layer.transpose(node.id, gn, state, [shapes[r] for r in node.inputs])
+        parts = node.layer.transpose(node.id, gn, state, in_shapes[node.id])
         for ref, part in zip(node.inputs, parts):
             cot[ref] = cot[ref] + part if ref in cot else part
-    if INPUT_ID in cot:
-        return cot[INPUT_ID]
-    return np.zeros((len(g),) + state.input.shape)
+    return cot[INPUT_ID]  # every node's inputs lead back to the input
 
 
 def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray) -> np.ndarray:
@@ -525,22 +555,20 @@ def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray) -> np.ndar
 def _single(net: Network, a, what: str = "input") -> np.ndarray:
     """One array of the network's input shape as a batch of one."""
     a = as_f64(a)
-    if a.shape != tuple(net.input_shape):
+    if a.shape != net.input_shape:
         raise ShapeMismatch(f"{what} shape {a.shape} does not match network "
-                            f"input {tuple(net.input_shape)}")
+                            f"input {net.input_shape}")
     return a[None]
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
     """Plain forward pass."""
-    validate(net)
     out, _ = _forward_pass(net, _single(net, x), 1)
     return out[0]
 
 
 def record_states(net: Network, x: np.ndarray) -> tuple[np.ndarray, FrozenState]:
-    """Forward pass that also captures the nonlinearity states and all
-    feature maps. The returned output is bitwise equal to forward()."""
-    validate(net)
-    out, state = _forward_pass(net, _single(net, x), 1, keep_outputs=True)
+    """Forward pass that also captures the nonlinearity states. The
+    returned output is bitwise equal to forward()."""
+    out, state = _forward_pass(net, _single(net, x), 1)
     return out[0], state

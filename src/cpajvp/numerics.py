@@ -10,6 +10,7 @@ or thread counts.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,20 @@ class ShapeMismatch(ValueError):
 
 class NonFiniteInput(ValueError):
     """Raised when an input, direction, cotangent or weight holds NaN or inf."""
+
+
+def keyed_rng(*parts) -> np.random.Generator:
+    """Counter-based generator keyed by the "/"-joined parts, so a draw
+    does not depend on the order of draws anywhere else."""
+    digest = hashlib.blake2s("/".join(str(p) for p in parts).encode()).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
+
+
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only, for caches that share them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def as_f64(a) -> np.ndarray:

@@ -8,7 +8,7 @@ checkable.
 """
 from __future__ import annotations
 
-import hashlib
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,16 +16,23 @@ import numpy as np
 
 from .network import (BLOCK_WIDTH, Network, ShapeMismatch, _forward_pass,
                       _transposed_pass, record_states)
-from .numerics import qr_householder
+from .numerics import keyed_rng, qr_householder, read_only
 
 
 class AdjointMismatch(RuntimeError):
     """Raised when a probe's two products fail the adjoint identity."""
 
 
-def _keyed_rng(*parts) -> np.random.Generator:
-    digest = hashlib.blake2s("/".join(str(p) for p in parts).encode()).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
+@functools.lru_cache(maxsize=64)
+def _adjoint_check_pairs(dim_in: int, dim_out: int):
+    """The three keyed pairs of the adjoint self-check at these dims, as
+    columns of u (dim_in, 3) and v (dim_out, 3), with their column
+    norms; drawn once per dims and shared read-only."""
+    rng = keyed_rng("probe-adjoint-check", dim_in, dim_out)
+    pairs = [(rng.standard_normal(dim_in), rng.standard_normal(dim_out))
+             for _ in range(3)]
+    u, v = (np.stack(side, axis=1) for side in zip(*pairs))
+    return read_only(u, v, np.linalg.norm(u, axis=0), np.linalg.norm(v, axis=0))
 
 
 class LinearProbe:
@@ -39,7 +46,8 @@ class LinearProbe:
     each other; construction spot checks <A u, v> == <u, A^T v> on
     three seeded random pairs and raises AdjointMismatch when the gap
     exceeds 1e-11 of the Cauchy-Schwarz scale ||A u|| ||v|| +
-    ||u|| ||A^T v||.
+    ||u|| ||A^T v||. The pairs depend only on (dim_in, dim_out) and are
+    drawn once per dims, then cached read-only.
     """
 
     def __init__(self, dim_in: int, dim_out: int,
@@ -57,18 +65,17 @@ class LinearProbe:
         self.rop_calls = 0
         self.lop_calls = 0
         if check_adjoint:
-            rng = _keyed_rng("probe-adjoint-check", dim_in, dim_out)
-            pairs = [(rng.standard_normal(self.dim_in), rng.standard_normal(self.dim_out))
-                     for _ in range(3)]
-            u, v = (np.stack(side, axis=1) for side in zip(*pairs))
+            u, v, u_norm, v_norm = _adjoint_check_pairs(self.dim_in, self.dim_out)
             au, atv = self.rop(u), self.lop(v)
             left, right = np.sum(au * v, axis=0), np.sum(u * atv, axis=0)
             norm = np.linalg.norm
-            scale = norm(au, axis=0) * norm(v, axis=0) + norm(u, axis=0) * norm(atv, axis=0)
-            for lt, rt, sc in zip(left, right, scale):
-                if abs(lt - rt) > 1e-11 * sc:
-                    raise AdjointMismatch(f"<A u, v> = {lt!r} but <u, A^T v> = {rt!r}, "
-                                          f"beyond 1e-11 of the scale {sc!r}")
+            scale = norm(au, axis=0) * v_norm + u_norm * norm(atv, axis=0)
+            bad = np.abs(left - right) > 1e-11 * scale
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise AdjointMismatch(f"<A u, v> = {left[i]!r} but <u, A^T v> = "
+                                      f"{right[i]!r}, beyond 1e-11 of the scale "
+                                      f"{scale[i]!r}")
             # the self-check is not user work
             self.rop_calls = 0
             self.lop_calls = 0
@@ -115,8 +122,7 @@ def probe_from_network(net: Network, x: np.ndarray,
     """Probe for the region at x: one state recording shared by every
     subsequent product call, each a single engine pass per block."""
     _, state = record_states(net, x)
-    in_shape = tuple(net.input_shape)
-    out_shape = state.outputs[net.output].shape
+    in_shape, out_shape = net.input_shape, net.plan.out_shape
 
     def rop(u: np.ndarray) -> np.ndarray:
         out, _ = _forward_pass(net, _as_batch(u, in_shape), 0, state)
@@ -125,7 +131,7 @@ def probe_from_network(net: Network, x: np.ndarray,
     def lop(v: np.ndarray) -> np.ndarray:
         return _as_columns(_transposed_pass(net, state, _as_batch(v, out_shape)), v)
 
-    return LinearProbe(int(np.prod(in_shape)), int(np.prod(out_shape)), rop, lop,
+    return LinearProbe(net.plan.d_in, net.plan.d_out, rop, lop,
                        check_adjoint=check_adjoint, blocks=True)
 
 
@@ -145,9 +151,12 @@ class SpectralResult:
     residuals: tuple[float, ...]
 
 
-def _orthonormal_init(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:
-    q, _ = qr_householder(rng.standard_normal((dim, k)))
-    return q
+@functools.lru_cache(maxsize=64, typed=True)
+def _start_block(name: str, seed, dim: int, k: int) -> np.ndarray:
+    """The seeded orthonormal (dim, k) block a Krylov run starts from;
+    drawn once per key and shared read-only."""
+    q, _ = qr_householder(keyed_rng(name, seed).standard_normal((dim, k)))
+    return read_only(q)[0]
 
 
 # A Krylov basis holds at most this many k-column blocks; past that a
@@ -251,8 +260,7 @@ def top_k_eigen(probe: LinearProbe, k: int, tol: float = 1e-8,
     _check_iteration_args(k, probe.dim_in, max_iter)
     rop0, lop0 = probe.rop_calls, probe.lop_calls
     basis = _KrylovBasis(probe.dim_in, probe.dim_in, k)
-    basis.append(_orthonormal_init(_keyed_rng("eigen-init", seed), probe.dim_in, k),
-                 probe.rop)
+    basis.append(_start_block("eigen-init", seed, probe.dim_in, k), probe.rop)
     iterations = 0
     residuals = []
     while True:
@@ -300,8 +308,7 @@ def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
     rop0, lop0 = probe.rop_calls, probe.lop_calls
     left = _KrylovBasis(probe.dim_out, probe.dim_in, k)
     right = _KrylovBasis(probe.dim_in, probe.dim_out, k)
-    right.append(_orthonormal_init(_keyed_rng("svd-init", seed), probe.dim_in, k),
-                 probe.rop)
+    right.append(_start_block("svd-init", seed, probe.dim_in, k), probe.rop)
     iterations = 0
     residuals = []
     while True:
@@ -339,7 +346,7 @@ def frobenius_norm_mc(probe: LinearProbe, n_samples: int,
     the square root by the delta method."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    rng = _keyed_rng("frobenius-mc", seed)
+    rng = keyed_rng("frobenius-mc", seed)
     samples = np.empty(n_samples)
     for start in range(0, n_samples, BLOCK_WIDTH):
         k = min(BLOCK_WIDTH, n_samples - start)
@@ -364,7 +371,7 @@ def trace_mc(probe: LinearProbe, n_samples: int,
                             f"({probe.dim_out}, {probe.dim_in})")
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    rng = _keyed_rng("trace-mc", seed)
+    rng = keyed_rng("trace-mc", seed)
     samples = np.empty(n_samples)
     for start in range(0, n_samples, BLOCK_WIDTH):
         k = min(BLOCK_WIDTH, n_samples - start)

@@ -21,10 +21,9 @@ def each_fixture(seeds=(0, 1, 2)):
 # clone consistency
 
 def test_vjp_input_validates_the_graph_once(monkeypatch):
-    import cpajvp.clone
+    # every entry point reads one cached plan: validate runs once per
+    # Network object, on first use, whatever is called afterwards
     import cpajvp.network
-    net, x = fixtures.generate("mlp", 3, scale=2)
-    v = np.ones(forward(net, x).shape)
     real, calls = cpajvp.network.validate, []
 
     def counting(n):
@@ -32,9 +31,20 @@ def test_vjp_input_validates_the_graph_once(monkeypatch):
         real(n)
 
     monkeypatch.setattr("cpajvp.network.validate", counting)
-    monkeypatch.setattr("cpajvp.clone.validate", counting)
-    vjp_input(net, x, v)
-    assert calls == [net]
+    nets_seen = []
+    for arch in ("mlp", "cnn"):
+        net, x = fixtures.generate(arch, 3, scale=2)
+        nets_seen.append(net)
+        y = forward(net, x)
+        jvp_input(net, x, np.ones_like(x))
+        vjp_input(net, x, np.ones_like(y))
+        target = next(n for n in net.nodes if hasattr(n.layer, "weight_field"))
+        w = getattr(target.layer, target.layer.weight_field)
+        jvp_weight(net, x, target.id, np.ones_like(w))
+        probe_from_network(net, x).rop(np.ones(x.size))
+        materialize_affine_via_rop(net, x)
+        vjp_input(net, x, np.ones_like(y))
+    assert len(calls) == 2 and all(a is b for a, b in zip(calls, nets_seen))
 
 
 def test_frozen_replay_at_x_reproduces_forward_bitwise():
@@ -71,6 +81,24 @@ def test_frozen_forward_rejects_foreign_state():
     _, state = record_states(other, y)
     with pytest.raises((GraphError, ShapeMismatch, KeyError)):
         frozen_forward(net, state, x)
+
+
+def test_foreign_state_is_rejected_by_node_ids_and_input_shape():
+    net, x = fixtures.generate("mlp", 0)
+    other, y = fixtures.generate("cnn", 0)
+    _, state = record_states(other, y)
+    v = np.ones(forward(net, x).shape)
+    with pytest.raises(GraphError, match="does not belong"):
+        frozen_forward(net, state, x)
+    with pytest.raises(GraphError, match="does not belong"):
+        frozen_vjp(net, state, v)
+    # same node ids, other input shape
+    net5, net6 = nets.dense_relu_chain(0, [5, 4]), nets.dense_relu_chain(0, [6, 4])
+    _, state6 = record_states(net6, np.ones(6))
+    with pytest.raises(ShapeMismatch, match="recorded on input"):
+        frozen_forward(net5, state6, np.ones(5))
+    with pytest.raises(ShapeMismatch, match="recorded on input"):
+        frozen_vjp(net5, state6, np.ones(4))
 
 
 # ---------------------------------------------------------------------------

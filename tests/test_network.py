@@ -1,11 +1,14 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 import nets
 from cpajvp import (Activation, Add, Concat, Dense, Dropout, GraphError,
                     MaxPool, Network, Node, NonFiniteInput, Recurrent,
-                    ShapeMismatch, dropout_mask, forward, record_states,
-                    shape_infer, validate)
+                    ShapeMismatch, dropout_mask, forward, jvp_input,
+                    materialize_affine_via_rop, record_states, shape_infer,
+                    validate, vjp_input)
 
 
 def test_forward_hand_computed_dense_chain():
@@ -173,6 +176,46 @@ def test_validate_rejects_bad_graphs():
             Node("a", Activation(), ["b"]),
             Node("b", Activation(), ["input"]),
         ], "a"))
+
+
+def test_network_and_nodes_are_immutable_tuples():
+    net = nets.dense_relu_chain(0, [5, 4])   # built from lists
+    assert isinstance(net.nodes, tuple)
+    assert all(isinstance(node.inputs, tuple) for node in net.nodes)
+    assert net.nodes[0].inputs == ("input",)
+    with pytest.raises(FrozenInstanceError):
+        net.nodes = ()
+    with pytest.raises(FrozenInstanceError):
+        net.nodes[0].inputs = ("fc1",)
+
+
+def test_shape_infer_returns_a_copy_the_caller_cannot_corrupt():
+    net = nets.branchy_net(3)
+    x = np.random.default_rng(4).standard_normal(6)
+    u = np.random.default_rng(5).standard_normal(6)
+    y, ju = forward(net, x), jvp_input(net, x, u)
+    v = np.ones_like(y)
+    jtv, amap = vjp_input(net, x, v), materialize_affine_via_rop(net, x)
+    shapes = shape_infer(net)
+    want = dict(shapes)
+    for key in shapes:
+        shapes[key] = (1,)
+    shapes["extra"] = (2,)
+    assert shape_infer(net) == want
+    assert np.array_equal(forward(net, x), y)
+    assert np.array_equal(jvp_input(net, x, u), ju)
+    assert np.array_equal(vjp_input(net, x, v), jtv)
+    again = materialize_affine_via_rop(net, x)
+    assert np.array_equal(again.a, amap.a) and np.array_equal(again.b, amap.b)
+
+
+def test_bad_graph_constructs_and_raises_on_every_use():
+    net = Network((3,), [Node("d", Dropout(1.0), ["input"])], "d")
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(GraphError, match="rate"):
+            forward(net, np.zeros(3))
+        with pytest.raises(GraphError, match="rate"):
+            shape_infer(net)
 
 
 def test_forward_rejects_wrong_input_shape():

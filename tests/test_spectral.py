@@ -8,7 +8,8 @@ from cpajvp import (AdjointMismatch, LinearProbe, ShapeMismatch,
                     trace_mc, vjp_input)
 from cpajvp import fixtures, forward
 from cpajvp.network import BLOCK_WIDTH
-from cpajvp.spectral import _keyed_rng
+from cpajvp.numerics import keyed_rng
+from cpajvp.spectral import _adjoint_check_pairs, _start_block
 from oracles import dense_eig_symmetric, dense_svd
 
 
@@ -60,12 +61,53 @@ def test_probe_detects_broken_adjoint():
     assert p.rop_calls == 0
 
 
+def test_cached_self_check_still_detects_a_broken_adjoint():
+    # the second construction at the same dims reads the cached pairs
+    m = np.random.default_rng(1).standard_normal((3, 5))
+    _adjoint_check_pairs.cache_clear()
+    for _ in range(2):
+        with pytest.raises(AdjointMismatch, match="beyond 1e-11"):
+            LinearProbe(5, 3, rop=lambda u: m @ u, lop=lambda v: (m.T + 1e-6) @ v)
+    assert _adjoint_check_pairs.cache_info().hits >= 1
+    matrix_probe(m)  # a correct pair still passes on the cached pairs
+
+
+def test_self_check_compares_every_pair():
+    # a lop that is off only outside the first pair's v: the check must
+    # still fail, so it cannot be reading the first pair alone
+    m = np.random.default_rng(2).standard_normal((3, 5))
+    u, v, _, _ = _adjoint_check_pairs(5, 3)
+    q = v[:, 1] - v[:, 0] * (v[:, 0] @ v[:, 1]) / (v[:, 0] @ v[:, 0])
+    with pytest.raises(AdjointMismatch):
+        LinearProbe(5, 3, rop=lambda x: m @ x,
+                    lop=lambda y: m.T @ y + 1e-3 * u[:, 1] * (q @ y))
+
+
+def test_cached_check_pairs_and_start_blocks_are_read_only():
+    for a in _adjoint_check_pairs(5, 3):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    u, v, u_norm, v_norm = _adjoint_check_pairs(5, 3)
+    assert u.shape == (5, 3) and v.shape == (3, 3)
+    assert np.array_equal(u_norm, np.linalg.norm(u, axis=0))
+    block = _start_block("eigen-init", 0, 6, 2)
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+    assert np.allclose(block.T @ block, np.eye(2), atol=1e-14)
+    # a run leaves the shared block as it was
+    before = block.copy()
+    top_k_eigen(matrix_probe(gapped_symmetric(3, 6)[0]), 2, seed=0)
+    assert np.array_equal(_start_block("eigen-init", 0, 6, 2), before)
+
+
 def test_self_check_accepts_a_near_orthogonal_pair():
     # deflate A so that the first keyed self-check pair has <A u, v> ~ 0:
     # relative to |<A u, v>| the rounding gap of a correct probe is then
     # huge, relative to the Cauchy-Schwarz scale it is not
     d_in, d_out = 7, 5
-    rng = _keyed_rng("probe-adjoint-check", d_in, d_out)
+    rng = keyed_rng("probe-adjoint-check", d_in, d_out)
     u, v = rng.standard_normal(d_in), rng.standard_normal(d_out)
     a = np.random.default_rng(3).standard_normal((d_out, d_in))
     a -= np.outer(v, u) * (v @ a @ u) / ((v @ v) * (u @ u))
@@ -487,7 +529,7 @@ def test_mc_estimators_draw_the_per_sample_stream(n):
     p, seen = recording_probe(m)
     est, se = frobenius_norm_mc(p, n, seed=3)
     assert p.rop_calls == n
-    ref = _keyed_rng("frobenius-mc", 3)
+    ref = keyed_rng("frobenius-mc", 3)
     draws = np.stack([ref.standard_normal(6) for _ in range(n)])
     assert np.array_equal(np.concatenate(seen), draws)
     mean, se_mean = per_sample_mean_se([np.dot(m @ d, m @ d) for d in draws])
@@ -497,7 +539,7 @@ def test_mc_estimators_draw_the_per_sample_stream(n):
     sq = rng.standard_normal((6, 6))
     p, seen = recording_probe(sq)
     est, se = trace_mc(p, n, seed=4)
-    ref = _keyed_rng("trace-mc", 4)
+    ref = keyed_rng("trace-mc", 4)
     draws = np.stack([ref.integers(0, 2, 6).astype(np.float64) * 2.0 - 1.0
                       for _ in range(n)])
     assert np.array_equal(np.concatenate(seen), draws)
