@@ -190,37 +190,55 @@ def materialize_affine_direct(net: Network, x: np.ndarray,
     return AffineMap(a=a.copy(), b=b.copy())
 
 
+def narrow_side_slope(net: Network, state: FrozenState | None = None,
+                      lead: np.ndarray | None = None):
+    """The region's slope A (d_out, d_in) from the narrow side of the map,
+    and the outputs of the lead slices (None without lead).
+
+    lead is a batch run first with every additive term; with state None
+    its slice 0 decides the region and is recorded. When d_out < d_in one
+    transposed pass over the rows of I_{d_out} on the state gives the
+    rows of A (reverse mode). Otherwise the rows of I_{d_in} ride behind
+    lead in the same forward pass, linear, and come out as the columns of
+    A (forward mode). Either way the identity holds min(d_in, d_out)²
+    entries, and A is never the difference of two affine outputs.
+    """
+    plan = net.plan
+    d_in, d_out = plan.d_in, plan.d_out
+    out = None
+    if d_out < d_in:
+        if lead is not None:
+            out, state = _forward_pass(net, lead, len(lead), state)
+        rows = _transposed_pass(net, state, np.eye(d_out).reshape((d_out,) + plan.out_shape))
+        return rows.reshape(d_out, d_in), out
+    batch, n = np.eye(d_in).reshape((d_in,) + net.input_shape), 0
+    if lead is not None:
+        batch, n = np.concatenate([lead, batch]), len(lead)
+    out, _ = _forward_pass(net, batch, n, state)
+    return np.ascontiguousarray(out[n:].reshape(d_in, d_out).T), out[:n] if n else None
+
+
 def materialize_affine_via_rop(net: Network, x: np.ndarray,
                                budget: int = 10 ** 6) -> AffineMap:
     """A and b of the region at x, built from the narrow side of the map.
 
     One recording pass carries x as slice 0, which decides the region,
     and a zero input as slice 1; the additive terms reach these two
-    slices only, so slice 1 comes out as b. When d_out < d_in one
-    transposed pass over the rows of I_{d_out} on the states that pass
-    records gives the rows of A (reverse mode). Otherwise the pass also
-    carries the rows of I_{d_in}, which come out as the columns of A
-    (forward mode). Either way the identity holds min(d_in, d_out)²
-    entries and A is never the difference of two affine outputs.
+    slices only, so slice 1 comes out as b. A comes from
+    ``narrow_side_slope`` on that pass: rows through one transposed pass
+    when d_out < d_in, otherwise columns carried by the recording pass
+    itself.
 
     The region is the one slice 0 of that batch decides: where a
     pre-activation at x is within rounding of 0 it can be the
     neighbouring region of the one ``record_states`` takes.
     """
     plan = net.plan
-    d_in, d_out, out_shape = plan.d_in, plan.d_out, plan.out_shape
-    if d_in * d_out > budget:
-        raise BudgetExceeded(f"slope needs {d_in * d_out} entries, "
+    if plan.d_in * plan.d_out > budget:
+        raise BudgetExceeded(f"slope needs {plan.d_in * plan.d_out} entries, "
                              f"budget is {budget}")
     pair = np.concatenate([_single(net, x), np.zeros((1,) + net.input_shape)])
-    if d_out < d_in:
-        out, state = _forward_pass(net, pair, 2)
-        rows = _transposed_pass(net, state, np.eye(d_out).reshape((d_out,) + out_shape))
-        a = rows.reshape(d_out, d_in)
-    else:
-        basis = np.eye(d_in).reshape((d_in,) + pair.shape[1:])
-        out, _ = _forward_pass(net, np.concatenate([pair, basis]), 2)
-        a = np.ascontiguousarray(out[2:].reshape(d_in, d_out).T)
+    a, out = narrow_side_slope(net, lead=pair)
     return AffineMap(a=a, b=out[1].reshape(-1).copy())
 
 

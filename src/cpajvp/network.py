@@ -19,6 +19,7 @@ them read the network's Plan, built once on first use.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,6 +47,7 @@ class GraphError(ValueError):
 # apply(nid, ins, n_aff, state, record) maps input batches to an output
 # batch; with record it stores its decisions, taken from slice 0, in state.
 # transpose(nid, g, state, shapes) gives the cotangent batch of each input.
+# mults(out_shape) counts the weight multiplies apply makes per slice.
 
 def _add_affine(out: np.ndarray, term, n_aff: int) -> np.ndarray:
     """out with an additive term on its first n_aff slices."""
@@ -58,8 +60,11 @@ def _add_affine(out: np.ndarray, term, n_aff: int) -> np.ndarray:
 
 class _Layer:
     """Spec defaults: one input (two or more when ``merges``), no
-    parameter to check."""
+    parameter to check, no weight multiplies."""
     merges = False
+
+    def mults(self, out_shape):
+        return 0
 
     def check(self, nid, n_inputs):
         if self.merges and n_inputs < 2:
@@ -97,6 +102,9 @@ class Dense(_Layer):
                 f"node {nid!r}: bias {self.bias.shape} does not match {w.shape[0]} outputs")
         return (w.shape[0],)
 
+    def mults(self, out_shape):
+        return self.weights.size
+
     def apply(self, nid, ins, n_aff, state, record):
         (v,) = ins
         return _add_affine(v.dot(self.weights.T), self.bias, n_aff)
@@ -129,6 +137,9 @@ class Conv2D(_Layer):
                 f"node {nid!r}: bias {self.bias.shape} does not match "
                 f"{self.filters.shape[3]} filters")
         return out
+
+    def mults(self, out_shape):
+        return self.filters.size * math.prod(out_shape[:-1])
 
     def apply(self, nid, ins, n_aff, state, record):
         (v,) = ins
@@ -332,6 +343,9 @@ class Recurrent(_Layer):
             raise ShapeMismatch(f"node {nid!r}: bias {self.bias.shape} vs hidden {hid}")
         return (hid,)
 
+    def mults(self, out_shape):
+        return (self.w_hidden.size + self.w_input.size) * self.steps
+
     def apply(self, nid, ins, n_aff, state, record):
         (x,) = ins
         hid = self.w_hidden.shape[0]
@@ -380,6 +394,7 @@ class Plan:
     out_shape: tuple[int, ...]
     d_in: int   # flat input and output sizes
     d_out: int
+    slice_mults: int  # weight multiplies one slice costs in an engine pass
 
 
 @dataclass(frozen=True)
@@ -408,7 +423,9 @@ class Network:
         return Plan(shapes=shapes, ids=frozenset(in_shapes), in_shapes=in_shapes,
                     by_id={node.id: node for node in self.nodes},
                     out_shape=out_shape, d_in=int(np.prod(self.input_shape)),
-                    d_out=int(np.prod(out_shape)))
+                    d_out=int(np.prod(out_shape)),
+                    slice_mults=sum(node.layer.mults(shapes[node.id])
+                                    for node in self.nodes))
 
 
 # ---------------------------------------------------------------------------

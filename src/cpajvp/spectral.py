@@ -1,22 +1,24 @@
 """Matrix-free spectral algorithms on top of the frozen-replay products.
 
-Nothing here ever sees the region matrix A itself. A LinearProbe wraps
-the two products u -> A u and v -> A^T v; block Lanczos (eigen), block
-Golub-Kahan (SVD) and the Monte Carlo estimators consume probes and
-count every product call, so the per-iteration call complexity is
-checkable.
+A LinearProbe wraps the two products u -> A u and v -> A^T v; block
+Lanczos (eigen), block Golub-Kahan (SVD) and the Monte Carlo estimators
+consume probes and count every product call, so the per-iteration call
+complexity is checkable. The algorithms never see A itself; a network
+probe builds it only to answer blocks wider than the map's narrow side.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .affine import narrow_side_slope
 from .network import (BLOCK_WIDTH, Network, ShapeMismatch, _forward_pass,
                       _transposed_pass, record_states)
-from .numerics import keyed_rng, qr_householder, read_only
+from .numerics import check_finite, keyed_rng, qr_householder, read_only
 
 
 class AdjointMismatch(RuntimeError):
@@ -120,19 +122,52 @@ def _as_columns(batch: np.ndarray, like: np.ndarray) -> np.ndarray:
 def probe_from_network(net: Network, x: np.ndarray,
                        check_adjoint: bool = True) -> LinearProbe:
     """Probe for the region at x: one state recording shared by every
-    subsequent product call, each a single engine pass per block."""
+    subsequent product call.
+
+    The product path follows from shapes alone. A vector, or a block of
+    at most min(d_in, d_out) columns, takes one engine pass. A wider
+    block is answered from the region's map A when d_in * d_out is at
+    most the weight multiplies of one engine slice (``plan.slice_mults``):
+    A is built on the first such block from the recorded state, by
+    ``affine.narrow_side_slope`` (min(d_in, d_out) slices of one pass),
+    kept on the probe, and rop and lop return A U and A^T V. A is then
+    never larger than the block, and on a bottleneck net, where A costs
+    more to apply than the engine, blocks stay on the engine. Columns of
+    either path equal single calls to rounding, so estimates from wide
+    blocks differ from engine ones in the last bits, reproducibly per
+    seed. The construction self-check runs on the two engines, never on
+    A against its transpose.
+    """
     _, state = record_states(net, x)
-    in_shape, out_shape = net.input_shape, net.plan.out_shape
+    plan = net.plan
+    in_shape, out_shape = net.input_shape, plan.out_shape
+    kept = []  # the region's map A, once built
+    wide = math.inf  # blocks wider than this read A
+
+    def slope() -> np.ndarray:
+        if not kept:
+            kept.append(read_only(narrow_side_slope(net, state)[0])[0])
+        return kept[0]
 
     def rop(u: np.ndarray) -> np.ndarray:
+        if u.ndim == 2 and u.shape[1] > wide:
+            check_finite(u, "input")
+            return slope() @ u
         out, _ = _forward_pass(net, _as_batch(u, in_shape), 0, state)
         return _as_columns(out, u)
 
     def lop(v: np.ndarray) -> np.ndarray:
+        if v.ndim == 2 and v.shape[1] > wide:
+            check_finite(v, "cotangent")
+            return slope().T @ v
         return _as_columns(_transposed_pass(net, state, _as_batch(v, out_shape)), v)
 
-    return LinearProbe(net.plan.d_in, net.plan.d_out, rop, lop,
-                       check_adjoint=check_adjoint, blocks=True)
+    probe = LinearProbe(plan.d_in, plan.d_out, rop, lop,
+                        check_adjoint=check_adjoint, blocks=True)
+    # set after construction, so the self-check compares the two engines
+    if plan.d_in * plan.d_out <= plan.slice_mults:
+        wide = min(plan.d_in, plan.d_out)
+    return probe
 
 
 @dataclass

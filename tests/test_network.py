@@ -142,6 +142,16 @@ def test_shape_infer_all_layer_kinds():
     assert shapes["rec"] == (5,)
 
 
+def test_plan_counts_the_weight_multiplies_of_one_slice():
+    # conv: 3*3*2*4 filter taps at 1*4*4 output positions, then a 3x16 head
+    assert nets.tiny_cnn().plan.slice_mults == 72 * 16 + 48
+    # two 6x6 dense layers and a 4x12 head; add, concat, batch-norm and
+    # dropout count nothing
+    assert nets.branchy_net().plan.slice_mults == 36 + 36 + 48
+    # recurrent: (5x5 hidden + 5x4 input) per step, 4 steps, then a 3x5 head
+    assert nets.tiny_rnn(steps=4).plan.slice_mults == (25 + 20) * 4 + 15
+
+
 def test_shape_errors_name_the_node():
     net = Network((3,), [Node("fc_bad", Dense(np.zeros((2, 4)), np.zeros(2)), ["input"])],
                   "fc_bad")

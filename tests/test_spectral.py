@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from cpajvp import (AdjointMismatch, LinearProbe, ShapeMismatch,
                     trace_mc, vjp_input)
 from cpajvp import fixtures, forward
 from cpajvp.network import BLOCK_WIDTH
+from cpajvp import NonFiniteInput, record_states, spectral
+from cpajvp.network import Dense, _forward_pass, _transposed_pass
 from cpajvp.numerics import keyed_rng
 from cpajvp.spectral import _adjoint_check_pairs, _start_block
 from oracles import dense_eig_symmetric, dense_svd
@@ -546,3 +550,202 @@ def test_mc_estimators_draw_the_per_sample_stream(n):
     mean, se_mean = per_sample_mean_se([np.dot(d, sq @ d) for d in draws])
     assert abs(est - mean) <= 1e-12 * (1.0 + abs(mean))
     assert abs(se - se_mean) <= 1e-10 * se
+
+
+# ---------------------------------------------------------------------------
+# wide blocks through the region's map
+
+def chain512_head(k):
+    body = nets.dense_relu_chain(50, [512, 512, 512], 0.1)
+    return fixtures.with_dense_head(body, k, seed=51)
+
+
+MAP_CASES = BLOCK_CASES + [
+    (f"chain512-k{k}", chain512_head(k), np.random.default_rng(24 + k).standard_normal(512))
+    for k in (1, 16)]
+
+
+@pytest.fixture
+def engine_spy(monkeypatch):
+    """Widths of the blocks a network probe hands to each engine, and the
+    number of times it builds the region's map."""
+    seen = {"rop": [], "lop": [], "maps": 0}
+    forward_pass, transposed_pass = spectral._forward_pass, spectral._transposed_pass
+    slope = spectral.narrow_side_slope
+
+    def spy_forward(net, batch, *args):
+        seen["rop"].append(len(batch))
+        return forward_pass(net, batch, *args)
+
+    def spy_transposed(net, state, g):
+        seen["lop"].append(len(g))
+        return transposed_pass(net, state, g)
+
+    def spy_slope(*args, **kwargs):
+        seen["maps"] += 1
+        return slope(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_forward_pass", spy_forward)
+    monkeypatch.setattr(spectral, "_transposed_pass", spy_transposed)
+    monkeypatch.setattr(spectral, "narrow_side_slope", spy_slope)
+    return seen
+
+
+def clear(seen):
+    seen.update(rop=[], lop=[], maps=0)
+
+
+@pytest.mark.parametrize("name,net,x", MAP_CASES, ids=[c[0] for c in MAP_CASES])
+def test_wide_blocks_take_the_map_and_equal_single_calls(name, net, x, engine_spy):
+    p = probe_from_network(net, x)
+    assert (p.rop_calls, p.lop_calls) == (0, 0)  # the self-check is not counted
+    assert engine_spy == {"rop": [3], "lop": [3], "maps": 0}  # and ran on the engines
+    assert p.dim_in * p.dim_out <= net.plan.slice_mults
+    clear(engine_spy)
+    rng = np.random.default_rng(25)
+    k = min(p.dim_in, p.dim_out) + 4
+    u = rng.standard_normal((p.dim_in, k))
+    v = rng.standard_normal((p.dim_out, k))
+    au, atv = p.rop(u), p.lop(v)
+    p.rop(u[:, ::-1])
+    assert engine_spy == {"rop": [], "lop": [], "maps": 1}  # built once, then kept
+    assert au.shape == (p.dim_out, k) and atv.shape == (p.dim_in, k)
+    assert (p.rop_calls, p.lop_calls) == (2 * k, k)
+    for j in range(k):
+        assert rel_gap(au[:, j], p.rop(u[:, j])) <= 1e-13, j
+        assert rel_gap(atv[:, j], p.lop(v[:, j])) <= 1e-13, j
+    assert (p.rop_calls, p.lop_calls) == (3 * k, 2 * k)
+    assert engine_spy["maps"] == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_wide_blocks_still_reject_non_finite_entries(bad):
+    net, x = fixtures.generate("cnn", 4)
+    p = probe_from_network(net, x)
+    p.rop(np.ones((p.dim_in, p.dim_out + 1)))  # the map is built
+    u = np.ones((p.dim_in, p.dim_out + 1))
+    u[3, 2] = bad
+    v = np.ones((p.dim_out, p.dim_out + 1))
+    v[1, 4] = bad
+    with pytest.raises(NonFiniteInput, match="input"):
+        p.rop(u)
+    with pytest.raises(NonFiniteInput, match="cotangent"):
+        p.lop(v)
+    assert (p.rop_calls, p.lop_calls) == (p.dim_out + 1, 0)
+
+
+def test_vectors_and_narrow_blocks_stay_on_the_engine(engine_spy):
+    net, x = fixtures.generate("cnn", 4)
+    p = probe_from_network(net, x)
+    clear(engine_spy)
+    narrow = min(p.dim_in, p.dim_out)
+    rng = np.random.default_rng(26)
+    p.rop(rng.standard_normal(p.dim_in))
+    p.rop(rng.standard_normal((p.dim_in, narrow)))
+    p.lop(rng.standard_normal(p.dim_out))
+    p.lop(rng.standard_normal((p.dim_out, narrow)))
+    assert engine_spy == {"rop": [1, narrow], "lop": [1, narrow], "maps": 0}
+
+
+def engine_probe(net, x):
+    """A probe on the bare engine closures, with no map path."""
+    _, state = record_states(net, x)
+    in_shape, out_shape = net.input_shape, net.plan.out_shape
+
+    def rop(u):
+        out, _ = _forward_pass(net, u.T.reshape((-1,) + in_shape), 0, state)
+        return out.reshape(len(out), -1).T
+
+    def lop(v):
+        out = _transposed_pass(net, state, v.T.reshape((-1,) + out_shape))
+        return out.reshape(len(out), -1).T
+
+    return LinearProbe(net.plan.d_in, net.plan.d_out, rop, lop, blocks=True)
+
+
+def assert_same_result(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.array_equal(a, b), field.name
+
+
+SQUARE_CASES = [
+    ("symmetric12", nets.all_positive_region_net(gapped_symmetric(5, 12)[0],
+                                                 np.linspace(-1.0, 1.0, 12)),
+     np.linspace(-1.0, 1.0, 12)),
+    ("square6", nets.square_net(3, 6), np.random.default_rng(27).standard_normal(6)),
+]
+
+
+SPECTRAL_CASES = SQUARE_CASES + [c for c in MAP_CASES if min(c[1].plan.d_in, c[1].plan.d_out) >= 3]
+
+
+@pytest.mark.parametrize("name,net,x", SPECTRAL_CASES, ids=[c[0] for c in SPECTRAL_CASES])
+def test_spectral_runs_equal_the_bare_engine_bitwise(name, net, x):
+    if net.plan.d_in == net.plan.d_out:
+        got = top_k_eigen(probe_from_network(net, x), 3, tol=1e-10, max_iter=30, seed=1)
+        assert_same_result(got, top_k_eigen(engine_probe(net, x), 3, tol=1e-10,
+                                            max_iter=30, seed=1))
+    if min(net.plan.d_in, net.plan.d_out) >= 3:
+        got = top_k_svd(probe_from_network(net, x), 3, tol=1e-10, max_iter=30, seed=2)
+        assert_same_result(got, top_k_svd(engine_probe(net, x), 3, tol=1e-10,
+                                          max_iter=30, seed=2))
+
+
+@pytest.mark.parametrize("name,net,x", SQUARE_CASES + MAP_CASES,
+                         ids=[c[0] for c in SQUARE_CASES + MAP_CASES])
+def test_mc_estimates_through_the_map_are_reproducible_and_near_the_engine(name, net, x):
+    # 50 samples are one block wider than every case's narrow side
+    frob = frobenius_norm_mc(probe_from_network(net, x), 50, seed=5)
+    assert frobenius_norm_mc(probe_from_network(net, x), 50, seed=5) == frob
+    engine = frobenius_norm_mc(engine_probe(net, x), 50, seed=5)
+    assert np.allclose(frob, engine, rtol=1e-12, atol=0.0)
+    if net.plan.d_in == net.plan.d_out:
+        est = trace_mc(probe_from_network(net, x), 50, seed=6)
+        assert trace_mc(probe_from_network(net, x), 50, seed=6) == est
+
+
+def test_bottleneck_nets_keep_wide_blocks_on_the_engine(engine_spy):
+    net = nets.dense_relu_chain(28, [256, 4, 256], 0.1)
+    assert net.plan.d_in * net.plan.d_out > net.plan.slice_mults
+    x = np.random.default_rng(28).standard_normal(256)
+    p = probe_from_network(net, x)
+    clear(engine_spy)
+    rng = np.random.default_rng(29)
+    p.rop(rng.standard_normal((256, 1000)))
+    p.lop(rng.standard_normal((256, 1000)))
+    assert engine_spy == {"rop": [1000], "lop": [1000], "maps": 0}
+
+
+def test_block_split_on_a_net_the_map_refuses(engine_spy):
+    net = nets.dense_relu_chain(30, [16, 2, 16], 0.1)
+    assert net.plan.d_in * net.plan.d_out > net.plan.slice_mults
+    p = probe_from_network(net, np.random.default_rng(30).standard_normal(16))
+    clear(engine_spy)
+    rng = np.random.default_rng(31)
+    wide = BLOCK_WIDTH + 3
+    u = rng.standard_normal((p.dim_in, wide))
+    v = rng.standard_normal((p.dim_out, wide))
+    au, atv = p.rop(u), p.lop(v)
+    assert engine_spy == {"rop": [wide], "lop": [wide], "maps": 0}
+    assert (p.rop_calls, p.lop_calls) == (wide, wide)
+    for j in (0, BLOCK_WIDTH - 1, BLOCK_WIDTH, wide - 1):
+        assert rel_gap(au[:, j], p.rop(u[:, j])) <= 1e-13, j
+        assert rel_gap(atv[:, j], p.lop(v[:, j])) <= 1e-13, j
+
+
+def test_network_self_check_compares_the_two_engines(monkeypatch, engine_spy):
+    # d_out = 1: a 3-column block, the check's width, takes the map here,
+    # where A against A^T would agree whatever the transposed engine does
+    net = nets.dense_relu_chain(32, [8, 6, 1], 0.1)
+    x = np.random.default_rng(32).standard_normal(8)
+    transpose = Dense.transpose
+    with monkeypatch.context() as m:
+        m.setattr(Dense, "transpose", lambda self, *args: [
+            g * (1.0 + 1e-6) for g in transpose(self, *args)])
+        with pytest.raises(AdjointMismatch):
+            probe_from_network(net, x)
+    p = probe_from_network(net, x)
+    clear(engine_spy)
+    p.rop(np.ones((8, 3)))
+    assert engine_spy == {"rop": [], "lop": [], "maps": 1}
