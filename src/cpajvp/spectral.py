@@ -4,7 +4,8 @@ A LinearProbe wraps the two products u -> A u and v -> A^T v; block
 Lanczos (eigen), block Golub-Kahan (SVD) and the Monte Carlo estimators
 consume probes and count every product call, so the per-iteration call
 complexity is checkable. The algorithms never see A itself; a network
-probe builds it only to answer blocks wider than the map's narrow side.
+probe builds it only to answer rop blocks wider than the map's narrow
+side.
 """
 from __future__ import annotations
 
@@ -124,47 +125,44 @@ def probe_from_network(net: Network, x: np.ndarray,
     """Probe for the region at x: one state recording shared by every
     subsequent product call.
 
-    The product path follows from shapes alone. A vector, or a block of
-    at most min(d_in, d_out) columns, takes one engine pass. A wider
-    block is answered from the region's map A when d_in * d_out is at
-    most the weight multiplies of one engine slice (``plan.slice_mults``):
-    A is built on the first such block from the recorded state, by
-    ``affine.narrow_side_slope`` (min(d_in, d_out) slices of one pass),
-    kept on the probe, and rop and lop return A U and A^T V. A is then
-    never larger than the block, and on a bottleneck net, where A costs
-    more to apply than the engine, blocks stay on the engine. Columns of
-    either path equal single calls to rounding, so estimates from wide
-    blocks differ from engine ones in the last bits, reproducibly per
-    seed. The construction self-check runs on the two engines, never on
-    A against its transpose.
+    The product path follows from shapes alone. Every lop, every vector
+    and every rop block of at most min(d_in, d_out) columns takes one
+    engine pass. A wider rop block is answered as A U from the region's
+    map A when d_in * d_out is at most the weight multiplies of one
+    engine slice (``plan.slice_mults``). A is built on the first such
+    block from the recorded state, by ``affine.narrow_side_slope``
+    (min(d_in, d_out) slices of one pass), and kept on the probe. It
+    holds fewer entries than the block and its answer together. Counted
+    in weight multiplies, the first wide block of a probe costs less
+    than twice an engine pass over it (the build, then A U) and every
+    later one no more than that pass; the count leaves out elementwise
+    work, so where it puts the crossover in time is not measured.
+    Columns of either path equal single calls to rounding, so estimates
+    from wide blocks differ from engine ones in the last bits,
+    reproducibly per seed. The construction self-check runs on the two
+    engines, never on A.
     """
     _, state = record_states(net, x)
     plan = net.plan
     in_shape, out_shape = net.input_shape, plan.out_shape
     kept = []  # the region's map A, once built
-    wide = math.inf  # blocks wider than this read A
-
-    def slope() -> np.ndarray:
-        if not kept:
-            kept.append(read_only(narrow_side_slope(net, state)[0])[0])
-        return kept[0]
+    wide = math.inf  # rop blocks wider than this read A
 
     def rop(u: np.ndarray) -> np.ndarray:
         if u.ndim == 2 and u.shape[1] > wide:
             check_finite(u, "input")
-            return slope() @ u
+            if not kept:
+                kept.append(read_only(narrow_side_slope(net, state)[0])[0])
+            return kept[0] @ u
         out, _ = _forward_pass(net, _as_batch(u, in_shape), 0, state)
         return _as_columns(out, u)
 
     def lop(v: np.ndarray) -> np.ndarray:
-        if v.ndim == 2 and v.shape[1] > wide:
-            check_finite(v, "cotangent")
-            return slope().T @ v
         return _as_columns(_transposed_pass(net, state, _as_batch(v, out_shape)), v)
 
     probe = LinearProbe(plan.d_in, plan.d_out, rop, lop,
                         check_adjoint=check_adjoint, blocks=True)
-    # set after construction, so the self-check compares the two engines
+    # set after construction, so the self-check runs on the engines
     if plan.d_in * plan.d_out <= plan.slice_mults:
         wide = min(plan.d_in, plan.d_out)
     return probe

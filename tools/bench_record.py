@@ -4,10 +4,12 @@
     python3 tools/bench_record.py --pr N --baseline ../parent-checkout
 
 Runs the unchanged ``perfbench/run.py`` (``--trace 0``) on every workload
-of ``BENCHMARK.json`` at fixed seeds, one run at a time, and keeps each
-run's ``environment``, ``end_to_end`` and ``wall_clock`` blocks, plus its
-attempted and failed op counts. Per workload it writes the median and
-quartiles of every end-to-end metric over the seeds.
+of ``BENCHMARK.json`` at the fixed seeds 1001-1010, each run as long as
+its ``run_seconds``, one run at a time, so every BENCH file is
+comparable with the others. It keeps each run's ``environment``,
+``end_to_end`` and ``wall_clock`` blocks, plus its attempted and failed
+op counts. Per workload it writes the median and quartiles of every
+end-to-end metric over the seeds.
 
 With ``--baseline DIR`` (a checkout of the commit to compare against)
 the same seeds run there too, in pairs that alternate which side runs
@@ -27,7 +29,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_SEEDS = tuple(range(1001, 1011))
+SEEDS = tuple(range(1001, 1011))
 KEPT = ("environment", "end_to_end", "wall_clock")
 
 
@@ -96,27 +98,24 @@ def comparison(runs: list[dict], base: list[dict], workloads, better: dict) -> d
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
-    p.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
-    p.add_argument("--seconds", type=float,
-                   help="run length per run (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--baseline", type=Path, help="checkout to compare against")
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     sides = {"change": ROOT}
     if args.baseline is not None:
         sides["baseline"] = args.baseline.resolve()
     runs = {side: [] for side in sides}
-    for i, (workload, seed) in enumerate((w, s) for w in workloads for s in args.seeds):
+    for i, (workload, seed) in enumerate((w, s) for w in workloads for s in SEEDS):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
         for side in order:
             runs[side].append(run_once(sides[side], workload, seed, seconds))
             print(f"{side} {workload} seed {seed}: failed {runs[side][-1]['failed']}",
                   file=sys.stderr)
     doc = {"pr": args.pr, "command": ["python3", "perfbench/run.py", "--trace", "0"],
-           "seconds": seconds, "seeds": args.seeds, "tree": tree_id(ROOT),
+           "seconds": seconds, "seeds": list(SEEDS), "tree": tree_id(ROOT),
            "end_to_end": summary(runs["change"], workloads, better),
            "runs": runs["change"]}
     if args.baseline is not None:
