@@ -24,11 +24,43 @@ class NonFiniteInput(ValueError):
     """Raised when an input, direction, cotangent or weight holds NaN or inf."""
 
 
+class _KeyWords:
+    """Philox's two uint64 key words as a seed sequence that hands them
+    over as given, the only state Philox asks for; any other request
+    raises. It reads no OS entropy."""
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} "
+                             f"{np.dtype(dtype)} words")
+        return self.words
+
+
+@functools.cache
+def _key_words_type() -> type:
+    """_KeyWords, registered as numpy's ISeedSequence on first use, so
+    that importing the package loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_KeyWords)
+    return _KeyWords
+
+
 def keyed_rng(*parts) -> np.random.Generator:
     """Counter-based generator keyed by the "/"-joined parts, so a draw
-    does not depend on the order of draws anywhere else."""
+    does not depend on the order of draws anywhere else.
+
+    The Philox key is the first 16 bytes of the parts' blake2s digest,
+    read as two little-endian uint64 words, with the counter at 0: the
+    stream of ``Philox(key=int.from_bytes(digest[:16], "little"))``. The
+    words go to Philox as its seed sequence, so no OS entropy is read.
+    """
     digest = hashlib.blake2s("/".join(str(p) for p in parts).encode()).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
+    words = np.frombuffer(digest, dtype="<u8", count=2)
+    return np.random.Generator(np.random.Philox(_key_words_type()(words)))
 
 
 def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -44,8 +76,9 @@ def as_f64(a) -> np.ndarray:
 
 def check_finite(a, what: str) -> None:
     # one BLAS dot is the fast test: NaN or inf anywhere makes it non-finite;
-    # entries above ~1e154 overflow it, so only then are entries tested
-    flat = a.ravel()
+    # entries above ~1e154 overflow it, so only then are entries tested.
+    # Memory order keeps the ravel of a transposed block a view.
+    flat = a.ravel(order="K")
     if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
         raise NonFiniteInput(f"{what} contains NaN or inf")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .affine import narrow_side_slope
 from .network import (BLOCK_WIDTH, Network, ShapeMismatch, _forward_pass,
-                      _transposed_pass, record_states)
+                      _single, _transposed_pass)
 from .numerics import check_finite, keyed_rng, qr_householder, read_only
 
 
@@ -36,6 +36,23 @@ def _adjoint_check_pairs(dim_in: int, dim_out: int):
              for _ in range(3)]
     u, v = (np.stack(side, axis=1) for side in zip(*pairs))
     return read_only(u, v, np.linalg.norm(u, axis=0), np.linalg.norm(v, axis=0))
+
+
+def _check_adjoint(pairs, au: np.ndarray, atv: np.ndarray) -> None:
+    """Raise AdjointMismatch unless <A u, v> == <u, A^T v> on each check
+    pair to 1e-11 of the Cauchy-Schwarz scale ||A u|| ||v|| +
+    ||u|| ||A^T v||; au and atv are the products of the pairs' columns."""
+    u, v, u_norm, v_norm = pairs
+    left, right = (au * v).sum(axis=0), (u * atv).sum(axis=0)
+    # column norms as np.linalg.norm takes them, without its dispatch
+    au_norm, atv_norm = np.sqrt((au * au).sum(axis=0)), np.sqrt((atv * atv).sum(axis=0))
+    scale = au_norm * v_norm + u_norm * atv_norm
+    bad = np.abs(left - right) > 1e-11 * scale
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise AdjointMismatch(f"<A u, v> = {left[i]!r} but <u, A^T v> = "
+                              f"{right[i]!r}, beyond 1e-11 of the scale "
+                              f"{scale[i]!r}")
 
 
 class LinearProbe:
@@ -68,17 +85,8 @@ class LinearProbe:
         self.rop_calls = 0
         self.lop_calls = 0
         if check_adjoint:
-            u, v, u_norm, v_norm = _adjoint_check_pairs(self.dim_in, self.dim_out)
-            au, atv = self.rop(u), self.lop(v)
-            left, right = np.sum(au * v, axis=0), np.sum(u * atv, axis=0)
-            norm = np.linalg.norm
-            scale = norm(au, axis=0) * v_norm + u_norm * norm(atv, axis=0)
-            bad = np.abs(left - right) > 1e-11 * scale
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise AdjointMismatch(f"<A u, v> = {left[i]!r} but <u, A^T v> = "
-                                      f"{right[i]!r}, beyond 1e-11 of the scale "
-                                      f"{scale[i]!r}")
+            pairs = _adjoint_check_pairs(self.dim_in, self.dim_out)
+            _check_adjoint(pairs, self.rop(pairs[0]), self.lop(pairs[1]))
             # the self-check is not user work
             self.rop_calls = 0
             self.lop_calls = 0
@@ -125,6 +133,17 @@ def probe_from_network(net: Network, x: np.ndarray,
     """Probe for the region at x: one state recording shared by every
     subsequent product call.
 
+    Construction is one recording pass and, with the self-check, one
+    transposed pass. The three check columns u ride behind x in the
+    recording pass, linear (the additive terms reach x alone), and come
+    out as A u; the transposed pass over the check's v gives A^T v. So
+    the check still compares the forward engine with the transposed
+    engine, on the pairs and bound of ``LinearProbe``. The region is the
+    one slice 0 of the recording batch decides, as for ``jvp_weight``
+    and ``materialize_affine_via_rop``: where a pre-activation at x is
+    within rounding of 0 it can be the neighbouring region of the one
+    ``record_states`` takes. Without the check x is recorded alone.
+
     The product path follows from shapes alone. Every lop, every vector
     and every rop block of at most min(d_in, d_out) columns takes one
     engine pass. A wider rop block is answered as A U from the region's
@@ -139,14 +158,22 @@ def probe_from_network(net: Network, x: np.ndarray,
     work, so where it puts the crossover in time is not measured.
     Columns of either path equal single calls to rounding, so estimates
     from wide blocks differ from engine ones in the last bits,
-    reproducibly per seed. The construction self-check runs on the two
-    engines, never on A.
+    reproducibly per seed.
     """
-    _, state = record_states(net, x)
     plan = net.plan
     in_shape, out_shape = net.input_shape, plan.out_shape
+    batch = _single(net, x)
+    if check_adjoint:
+        pairs = _adjoint_check_pairs(plan.d_in, plan.d_out)
+        batch = np.concatenate([batch, _as_batch(pairs[0], in_shape)])
+    out, state = _forward_pass(net, batch, 1)
+    if check_adjoint:
+        atv = _transposed_pass(net, state, _as_batch(pairs[1], out_shape))
+        _check_adjoint(pairs, _as_columns(out[1:], pairs[0]), _as_columns(atv, pairs[1]))
     kept = []  # the region's map A, once built
     wide = math.inf  # rop blocks wider than this read A
+    if plan.d_in * plan.d_out <= plan.slice_mults:
+        wide = min(plan.d_in, plan.d_out)
 
     def rop(u: np.ndarray) -> np.ndarray:
         if u.ndim == 2 and u.shape[1] > wide:
@@ -160,12 +187,7 @@ def probe_from_network(net: Network, x: np.ndarray,
     def lop(v: np.ndarray) -> np.ndarray:
         return _as_columns(_transposed_pass(net, state, _as_batch(v, out_shape)), v)
 
-    probe = LinearProbe(plan.d_in, plan.d_out, rop, lop,
-                        check_adjoint=check_adjoint, blocks=True)
-    # set after construction, so the self-check runs on the engines
-    if plan.d_in * plan.d_out <= plan.slice_mults:
-        wide = min(plan.d_in, plan.d_out)
-    return probe
+    return LinearProbe(plan.d_in, plan.d_out, rop, lop, check_adjoint=False, blocks=True)
 
 
 @dataclass
@@ -408,7 +430,7 @@ def trace_mc(probe: LinearProbe, n_samples: int,
     samples = np.empty(n_samples)
     for start in range(0, n_samples, BLOCK_WIDTH):
         k = min(BLOCK_WIDTH, n_samples - start)
-        u = rng.integers(0, 2, (k, probe.dim_in)).astype(np.float64) * 2.0 - 1.0
+        u = rng.integers(0, 2, (k, probe.dim_in)) * 2.0 - 1.0
         samples[start:start + k] = np.einsum("ij,ji->i", u, probe.rop(u.T))
     mean = float(np.mean(samples))
     se_mean = float(np.sqrt(np.sum((samples - mean) ** 2)

@@ -1,9 +1,17 @@
+import hashlib
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cpajvp.numerics import (ShapeMismatch, conv2d, conv2d_input_adjoint,
-                             conv2d_output_shape, matmul, maxpool_argmax,
-                             maxpool_output_shape, qr_householder)
+from cpajvp.numerics import (NonFiniteInput, ShapeMismatch, check_finite, conv2d,
+                             conv2d_input_adjoint, conv2d_output_shape, keyed_rng,
+                             matmul, maxpool_argmax, maxpool_output_shape,
+                             qr_householder)
 from oracles import dense_eig_symmetric, dense_svd
 
 
@@ -450,3 +458,67 @@ def test_svd_rank_deficient_and_zero():
     u, s, v = dense_svd(b)
     assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-12
     assert np.max(np.abs(u @ np.diag(s) @ v.T - b)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# keyed generators and the finite check
+
+KEYS = [("frobenius-mc", 3), ("trace-mc", 0), ("dropout", 7, "drop1"),
+        ("probe-adjoint-check", 6, 5), ("eigen-init", 0), ("svd-init", 2),
+        (1, "mlp"), (0, "cnn", "sample-input"), (51, "sweep-head", 16)]
+
+
+@pytest.mark.parametrize("parts", KEYS, ids=["/".join(map(str, k)) for k in KEYS])
+def test_keyed_streams_equal_philox_keyed_by_the_digest(parts):
+    digest = hashlib.blake2s("/".join(str(p) for p in parts).encode()).digest()
+    want = np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
+    got = keyed_rng(*parts)
+    assert got.standard_normal(37).tobytes() == want.standard_normal(37).tobytes()
+    assert np.array_equal(got.integers(0, 2, (5, 7)), want.integers(0, 2, (5, 7)))
+    assert got.random((3, 4)).tobytes() == want.random((3, 4)).tobytes()
+    # the key words are the seed sequence: no OS entropy is drawn
+    assert not isinstance(got.bit_generator.seed_seq, np.random.SeedSequence)
+
+
+def test_keyed_seed_sequence_gives_only_the_key():
+    rng = keyed_rng("frobenius-mc", 3)
+    seq = rng.bit_generator.seed_seq
+    assert seq.generate_state(2, np.uint64).dtype == np.uint64
+    for n_words, dtype in ((4, np.uint32), (2, np.uint32), (3, np.uint64)):
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            seq.generate_state(n_words, dtype)
+    # a keyed generator still pickles, and resumes its stream
+    rng.random(5)
+    copy = pickle.loads(pickle.dumps(rng))
+    assert copy.random(4).tobytes() == rng.random(4).tobytes()
+
+
+def test_importing_cpajvp_loads_no_numpy_random():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = "import sys, cpajvp, cpajvp.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_check_rejects_non_finite_entries_of_a_transposed_block(bad):
+    # the (d, k) layout both MC estimators hand to rop
+    block = np.random.default_rng(10).standard_normal((7, 5)).T
+    assert block.flags.f_contiguous and not block.flags.c_contiguous
+    block[3, 1] = bad
+    with pytest.raises(NonFiniteInput, match="input"):
+        check_finite(block, "input")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_finite_check_passes_a_transposed_block_whose_dot_overflows():
+    block = np.full((4, 6), 1e200).T
+    block[2, 3] = -3e200
+    assert not np.isfinite(np.sum(block * block))
+    check_finite(block, "input")  # finite entries: the exact test passes them
+    block[5, 0] = np.nan
+    with pytest.raises(NonFiniteInput):
+        check_finite(block, "input")

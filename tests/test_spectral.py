@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -599,7 +600,7 @@ def clear(seen):
 def test_wide_blocks_take_the_map_and_equal_single_calls(name, net, x, engine_spy):
     p = probe_from_network(net, x)
     assert (p.rop_calls, p.lop_calls) == (0, 0)  # the self-check is not counted
-    assert engine_spy == {"rop": [3], "lop": [3], "maps": 0}  # and ran on the engines
+    assert engine_spy == {"rop": [4], "lop": [3], "maps": 0}  # and ran on the engines
     assert p.dim_in * p.dim_out <= net.plan.slice_mults
     clear(engine_spy)
     rng = np.random.default_rng(25)
@@ -746,3 +747,48 @@ def test_network_self_check_compares_the_two_engines(monkeypatch, engine_spy):
     clear(engine_spy)
     p.rop(np.ones((8, 3)))
     assert engine_spy == {"rop": [], "lop": [], "maps": 1}
+
+
+# ---------------------------------------------------------------------------
+# construction: the self-check's columns ride behind x in the recording
+
+CONSTRUCTION_CASES = MAP_CASES[:2] + [
+    ("bottleneck", nets.dense_relu_chain(30, [16, 2, 16], 0.1),
+     np.random.default_rng(30).standard_normal(16))]
+
+
+@pytest.mark.parametrize("name,net,x", CONSTRUCTION_CASES,
+                         ids=[c[0] for c in CONSTRUCTION_CASES])
+def test_construction_is_one_recording_and_one_transposed_pass(name, net, x, engine_spy):
+    p = probe_from_network(net, x)
+    assert engine_spy == {"rop": [1 + 3], "lop": [3], "maps": 0}
+    assert (p.rop_calls, p.lop_calls) == (0, 0)
+    clear(engine_spy)
+    p = probe_from_network(net, x, check_adjoint=False)
+    assert engine_spy == {"rop": [1], "lop": [], "maps": 0}
+    assert (p.rop_calls, p.lop_calls) == (0, 0)
+
+
+REGION_CASES = [(f"{arch}-{seed}",) + fixtures.generate(arch, seed, scale=2)
+                for arch in fixtures.ARCHITECTURES for seed in range(4)]
+# branchy, the chain512 heads k1 and k16, and two square nets for trace_mc
+REGION_CASES += BLOCK_CASES[-1:] + MAP_CASES[-2:] + SQUARE_CASES
+
+
+@pytest.mark.parametrize("name,net,x", REGION_CASES, ids=[c[0] for c in REGION_CASES])
+def test_fused_recording_keeps_the_region_of_x(name, net, x):
+    p = probe_from_network(net, x)
+    rng = np.random.default_rng(33)
+    u = rng.standard_normal(x.shape)
+    assert np.array_equal(p.rop(u.reshape(-1)), jvp_input(net, x, u).reshape(-1))
+    v = rng.standard_normal(net.plan.out_shape)
+    assert np.array_equal(p.lop(v.reshape(-1)), vjp_input(net, x, v).reshape(-1))
+    # a checked probe (x recorded with the check's columns) and an
+    # unchecked one (x alone) give the same estimates, bit for bit
+    unchecked = functools.partial(probe_from_network, check_adjoint=False)
+    for n in (7, 50):
+        assert frobenius_norm_mc(probe_from_network(net, x), n, seed=n) == \
+            frobenius_norm_mc(unchecked(net, x), n, seed=n)
+        if net.plan.d_in == net.plan.d_out:
+            assert trace_mc(probe_from_network(net, x), n, seed=n) == \
+                trace_mc(unchecked(net, x), n, seed=n)
