@@ -193,10 +193,11 @@ class MaxPool(_Layer):
 
     def transpose(self, nid, g, state, shapes):
         (s,) = shapes
-        size = int(np.prod(s))
-        rows = state.argmax_indices[nid].reshape(1, -1) + size * np.arange(len(g))[:, None]
-        buf = np.bincount(rows.reshape(-1), weights=g.reshape(-1),
-                          minlength=len(g) * size)
+        size = math.prod(s)
+        rows = state.argmax_indices[nid].reshape(-1)
+        if len(g) > 1:  # row r's winners sit r input sizes further on
+            rows = (rows + size * np.arange(len(g))[:, None]).reshape(-1)
+        buf = np.bincount(rows, weights=g.reshape(-1), minlength=len(g) * size)
         return [buf.reshape((len(g),) + s)]
 
 
@@ -309,7 +310,11 @@ class Concat(_Layer):
 
     def transpose(self, nid, g, state, shapes):
         ax = self.axis % len(shapes[0])
-        return np.split(g, np.cumsum([s[ax] for s in shapes[:-1]]), axis=ax + 1)
+        lead, parts, start = (slice(None),) * (ax + 1), [], 0
+        for s in shapes:
+            parts.append(g[lead + (slice(start, start + s[ax]),)])
+            start += s[ax]
+        return parts
 
 
 @dataclass(frozen=True)
@@ -386,15 +391,22 @@ class Node:
 
 @dataclass(frozen=True)
 class Plan:
-    """What the graph alone decides, derived once per network."""
+    """What the graph alone decides, derived once per network, with the
+    engines' step programs over slots (0 is the input, i the i-th node):
+    ``forward`` steps (node id, spec, input slots) in graph order, and
+    ``transposed`` steps (slot, node id, spec, input slots, input
+    shapes) of the nodes that feed the output, in reverse. Steps hold
+    specs, not bound methods, so a patch on a spec class takes effect."""
     shapes: dict[str, tuple[int, ...]]  # per-sample output shapes, input's too
     ids: frozenset[str]
-    in_shapes: dict[str, tuple[tuple[int, ...], ...]]  # of each node's inputs
     by_id: dict[str, Node]
     out_shape: tuple[int, ...]
     d_in: int   # flat input and output sizes
     d_out: int
     slice_mults: int  # weight multiplies one slice costs in an engine pass
+    forward: tuple[tuple, ...]
+    transposed: tuple[tuple, ...]
+    out_slot: int
 
 
 @dataclass(frozen=True)
@@ -415,17 +427,24 @@ class Network:
     def plan(self) -> Plan:
         validate(self)
         shapes: dict[str, tuple[int, ...]] = {INPUT_ID: self.input_shape}
-        in_shapes = {}
-        for node in self.nodes:
-            ins = in_shapes[node.id] = tuple(shapes[r] for r in node.inputs)
-            shapes[node.id] = node.layer.infer(node.id, ins)
+        steps, slot = [], {INPUT_ID: 0}
+        for i, node in enumerate(self.nodes, 1):
+            ins = tuple(shapes[r] for r in node.inputs)
+            shapes[node.id], slot[node.id] = node.layer.infer(node.id, ins), i
+            steps.append((i, node.id, node.layer, tuple(slot[r] for r in node.inputs), ins))
+        live = {slot[self.output]}  # the slots that feed the output
+        for step in reversed(steps):
+            if step[0] in live:
+                live.update(step[3])
         out_shape = shapes[self.output]
-        return Plan(shapes=shapes, ids=frozenset(in_shapes), in_shapes=in_shapes,
-                    by_id={node.id: node for node in self.nodes},
+        by_id = {node.id: node for node in self.nodes}
+        return Plan(shapes=shapes, ids=frozenset(by_id), by_id=by_id,
                     out_shape=out_shape, d_in=int(np.prod(self.input_shape)),
                     d_out=int(np.prod(out_shape)),
                     slice_mults=sum(node.layer.mults(shapes[node.id])
-                                    for node in self.nodes))
+                                    for node in self.nodes),
+                    forward=tuple(step[1:4] for step in steps), out_slot=slot[self.output],
+                    transposed=tuple(step for step in reversed(steps) if step[0] in live))
 
 
 # ---------------------------------------------------------------------------
@@ -507,16 +526,16 @@ class FrozenState:
 # ---------------------------------------------------------------------------
 # the two engines
 
-def _forward_block(net, batch, n_aff, state, patch):
+def _forward_block(plan, batch, n_aff, state, patch):
     record = state is None
     if record:
-        state = FrozenState(batch[0], net.plan.ids)
-    values = {INPUT_ID: batch}
-    for node in net.nodes:
-        ins = [values[r] for r in node.inputs]
-        out = node.layer.apply(node.id, ins, n_aff, state, record)
-        values[node.id] = patch[node.id](out, ins) if node.id in patch else out
-    return values[net.output], state
+        state = FrozenState(batch[0], plan.ids)
+    values = [batch]
+    for nid, spec, slots in plan.forward:
+        ins = [values[s] for s in slots]
+        out = spec.apply(nid, ins, n_aff, state, record)
+        values.append(patch[nid](out, ins) if patch and nid in patch else out)
+    return values[plan.out_slot], state
 
 
 def _forward_pass(net: Network, batch: np.ndarray, n_aff: int,
@@ -534,28 +553,24 @@ def _forward_pass(net: Network, batch: np.ndarray, n_aff: int,
     (B, *output_shape) batch and the state.
     """
     check_finite(batch, "input")
-    patch = patch or {}
     if len(batch) <= BLOCK_WIDTH:
-        return _forward_block(net, batch, n_aff, state, patch)
+        return _forward_block(net.plan, batch, n_aff, state, patch)
     outs = []
     for start in range(0, len(batch), BLOCK_WIDTH):
-        out, state = _forward_block(net, batch[start:start + BLOCK_WIDTH],
+        out, state = _forward_block(net.plan, batch[start:start + BLOCK_WIDTH],
                                     max(n_aff - start, 0), state, patch)
         outs.append(out)
     return np.concatenate(outs), state
 
 
-def _transposed_block(net, state, g):
-    in_shapes = net.plan.in_shapes
-    cot = {net.output: g}
-    for node in reversed(net.nodes):
-        gn = cot.pop(node.id, None)
-        if gn is None:
-            continue  # node does not feed the output
-        parts = node.layer.transpose(node.id, gn, state, in_shapes[node.id])
-        for ref, part in zip(node.inputs, parts):
-            cot[ref] = cot[ref] + part if ref in cot else part
-    return cot[INPUT_ID]  # every node's inputs lead back to the input
+def _transposed_block(plan, state, g):
+    cot = [None] * (len(plan.forward) + 1)
+    cot[plan.out_slot] = g
+    for slot, nid, spec, slots, shapes in plan.transposed:
+        gn, cot[slot] = cot[slot], None
+        for s, part in zip(slots, spec.transpose(nid, gn, state, shapes)):
+            cot[s] = part if cot[s] is None else cot[s] + part
+    return cot[0]  # every node's inputs lead back to the input
 
 
 def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray) -> np.ndarray:
@@ -564,8 +579,8 @@ def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray) -> np.ndar
     Returns a (B, *input_shape) batch."""
     check_finite(g, "cotangent")
     if len(g) <= BLOCK_WIDTH:
-        return _transposed_block(net, state, g)
-    return np.concatenate([_transposed_block(net, state, g[start:start + BLOCK_WIDTH])
+        return _transposed_block(net.plan, state, g)
+    return np.concatenate([_transposed_block(net.plan, state, g[start:start + BLOCK_WIDTH])
                            for start in range(0, len(g), BLOCK_WIDTH)])
 
 

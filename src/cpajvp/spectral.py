@@ -222,11 +222,18 @@ _MAX_BLOCKS = 10
 _NEW_DIRECTION_TOL = 1e-12
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """||a||_F the way np.linalg.norm takes it, bit for bit, without its
+    dispatch."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def _new_directions(basis: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the part of span(columns) outside
     span(basis), which has orthonormal columns: two Gram-Schmidt passes,
     then the SVD keeps only the directions that are really new."""
-    scale = np.linalg.norm(columns)
+    scale = _frobenius(columns)
     for _ in range(2):
         columns = columns - basis @ (basis.T @ columns)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
@@ -323,7 +330,7 @@ def top_k_eigen(probe: LinearProbe, k: int, tol: float = 1e-8,
         theta, s = np.linalg.eigh((t + t.T) / 2.0)
         theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
         y, ay = basis.q @ s, basis.aq @ s
-        residuals.append(float(np.linalg.norm(ay - y * theta, "fro")))
+        residuals.append(_frobenius(ay - y * theta))
         if residuals[-1] <= tol or iterations == max_iter:
             break
         if basis.full():
@@ -374,8 +381,8 @@ def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
         p, sigma, r = p[:, :k], sigma[:k], rt[:k].T
         y, aty = left.q @ p, left.aq @ p
         x, ax = right.q @ r, right.aq @ r
-        residuals.append(float(np.hypot(np.linalg.norm(ax - y * sigma, "fro"),
-                                        np.linalg.norm(aty - x * sigma, "fro"))))
+        residuals.append(float(np.hypot(_frobenius(ax - y * sigma),
+                                        _frobenius(aty - x * sigma))))
         if residuals[-1] <= tol or iterations == max_iter:
             break
         if right.full():  # each left block adds at most what a right one did
@@ -407,7 +414,7 @@ def frobenius_norm_mc(probe: LinearProbe, n_samples: int,
         k = min(BLOCK_WIDTH, n_samples - start)
         out = probe.rop(rng.standard_normal((k, probe.dim_in)).T)
         samples[start:start + k] = np.einsum("ij,ij->j", out, out)
-    mean = float(np.mean(samples))
+    mean = float(samples.sum() / n_samples)  # np.mean's own formula
     se_mean = float(np.sqrt(np.sum((samples - mean) ** 2)
                             / (n_samples * (n_samples - 1))))
     if mean <= 0.0:
@@ -432,7 +439,7 @@ def trace_mc(probe: LinearProbe, n_samples: int,
         k = min(BLOCK_WIDTH, n_samples - start)
         u = rng.integers(0, 2, (k, probe.dim_in)) * 2.0 - 1.0
         samples[start:start + k] = np.einsum("ij,ji->i", u, probe.rop(u.T))
-    mean = float(np.mean(samples))
+    mean = float(samples.sum() / n_samples)  # np.mean's own formula
     se_mean = float(np.sqrt(np.sum((samples - mean) ** 2)
                             / (n_samples * (n_samples - 1))))
     return mean, se_mean
