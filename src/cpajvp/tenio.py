@@ -21,7 +21,7 @@ from .network import (
     Flatten, GraphError, MaxPool, Network, Node, Recurrent, ShapeMismatch,
     shape_infer,
 )
-from .numerics import check_finite
+from .numerics import NonFiniteInput, check_finite
 
 MAGIC = b"TEN1"
 
@@ -80,6 +80,39 @@ def read_tensor(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# network JSON: one table of layer kinds
+
+REQUIRED = object()  # the default of a field that every layer of its kind sets
+
+# JSON type -> (spec class, fields as (JSON key, kind, default)). A kind
+# is an array's rank, "number", "int", "pair" (an int or two), "padding"
+# or "mode". A JSON key is also the spec attribute, except that dropout's
+# "mode" holds its ``training`` flag. Defaults are spec values.
+LAYERS = {
+    "dense": (Dense, (("weights", 2, REQUIRED), ("bias", 1, REQUIRED))),
+    "conv2d": (Conv2D, (("filters", 4, REQUIRED), ("bias", 1, REQUIRED),
+                        ("stride", "pair", (1, 1)), ("padding", "padding", "valid"))),
+    "activation": (Activation, (("leakiness", "number", 0.0),)),
+    "maxpool": (MaxPool, (("ksize", "pair", REQUIRED), ("stride", "pair", None),
+                          ("padding", "padding", "valid"))),
+    "dropout": (Dropout, (("rate", "number", REQUIRED), ("mode", "mode", False),
+                          ("seed", "int", 0))),
+    "batchnorm_inf": (BatchNormInference, (
+        ("gamma", 1, REQUIRED), ("beta", 1, REQUIRED), ("running_mean", 1, REQUIRED),
+        ("running_var", 1, REQUIRED), ("epsilon", "number", 1e-5))),
+    "flatten": (Flatten, ()),
+    "add": (Add, ()),
+    "concat": (Concat, (("axis", "int", REQUIRED),)),
+    "recurrent": (Recurrent, (
+        ("w_hidden", 2, REQUIRED), ("w_input", 2, REQUIRED), ("bias", 1, REQUIRED),
+        ("leakiness", "number", 0.0), ("steps", "int", REQUIRED))),
+}
+_TYPE_OF = {cls: name for name, (cls, _) in LAYERS.items()}
+_CHOICES = {"padding": ("same", "valid"), "mode": ("inference", "training")}
+_ATTR = {"mode": "training"}  # JSON keys that differ from the spec attribute
+
+
+# ---------------------------------------------------------------------------
 # network JSON: reading
 
 def _field(obj: dict, key: str, ctx: str):
@@ -103,6 +136,9 @@ def _array(value, ctx: str, base: Path, ndim: int) -> np.ndarray:
     else:
         try:
             arr = np.asarray(value, dtype=np.float64)
+        except OverflowError:
+            raise NonFiniteInput(f"{ctx} holds a number too large for "
+                                 "float64") from None
         except (TypeError, ValueError) as exc:
             raise NetworkSchemaError(f"{ctx}: not a numeric array: {exc}") from exc
     if arr.ndim != ndim:
@@ -112,37 +148,32 @@ def _array(value, ctx: str, base: Path, ndim: int) -> np.ndarray:
     return arr
 
 
-def _number(value, ctx: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise NetworkSchemaError(f"{ctx}: expected a number, got {value!r}")
-    check_finite(np.asarray(float(value)), ctx)
-    return float(value)
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _int(value, ctx: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise NetworkSchemaError(f"{ctx}: expected an integer, got {value!r}")
-    return value
-
-
-def _pair_field(obj: dict, key: str, ctx: str, default):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, int) and not isinstance(v, bool):
-        return (v, v)
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(s, int) and not isinstance(s, bool) for s in v)):
-        return (v[0], v[1])
-    raise NetworkSchemaError(f"{ctx}.{key}: expected an int or a pair, got {v!r}")
-
-
-def _padding_field(obj: dict, ctx: str) -> str:
-    pad = obj.get("padding", "valid")
-    if pad not in ("same", "valid"):
-        raise NetworkSchemaError(f"{ctx}.padding: expected 'same' or 'valid', "
-                                 f"got {pad!r}")
-    return pad
+def _value(kind, v, ctx: str, base: Path):
+    """Read one present field of the given kind; ctx names node and field."""
+    if isinstance(kind, int):
+        return _array(v, ctx, base, kind)
+    if kind == "number":
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise NetworkSchemaError(f"{ctx}: expected a number, got {v!r}")
+        return float(_array(v, ctx, base, 0))
+    if kind == "int":
+        if not _is_int(v):
+            raise NetworkSchemaError(f"{ctx}: expected an integer, got {v!r}")
+        return v
+    if kind == "pair":
+        if _is_int(v):
+            return (v, v)
+        if isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)):
+            return (v[0], v[1])
+        raise NetworkSchemaError(f"{ctx}: expected an int or a pair, got {v!r}")
+    a, b = _CHOICES[kind]
+    if v not in (a, b):
+        raise NetworkSchemaError(f"{ctx}: expected {a!r} or {b!r}, got {v!r}")
+    return v == "training" if kind == "mode" else v
 
 
 def _check_keys(obj: dict, allowed: set[str], ctx: str) -> None:
@@ -155,68 +186,20 @@ def _parse_layer(spec: dict, ctx: str, base: Path):
     if not isinstance(spec, dict):
         raise NetworkSchemaError(f"{ctx}: layer must be an object, got "
                                  f"{type(spec).__name__}")
-    kind = _field(spec, "type", ctx)
-    if kind == "dense":
-        _check_keys(spec, {"weights", "bias"}, ctx)
-        return Dense(weights=_array(_field(spec, "weights", ctx),
-                                    f"{ctx}.weights", base, 2),
-                     bias=_array(_field(spec, "bias", ctx), f"{ctx}.bias", base, 1))
-    if kind == "conv2d":
-        _check_keys(spec, {"filters", "bias", "stride", "padding"}, ctx)
-        return Conv2D(filters=_array(_field(spec, "filters", ctx),
-                                     f"{ctx}.filters", base, 4),
-                      bias=_array(_field(spec, "bias", ctx), f"{ctx}.bias", base, 1),
-                      stride=_pair_field(spec, "stride", ctx, (1, 1)),
-                      padding=_padding_field(spec, ctx))
-    if kind == "activation":
-        _check_keys(spec, {"leakiness"}, ctx)
-        return Activation(leakiness=_number(spec.get("leakiness", 0.0),
-                                            f"{ctx}.leakiness"))
-    if kind == "maxpool":
-        _check_keys(spec, {"ksize", "stride", "padding"}, ctx)
-        ksize = _pair_field(spec, "ksize", ctx, None)
-        if ksize is None:
-            raise NetworkSchemaError(f"{ctx}: missing field 'ksize'")
-        return MaxPool(ksize=ksize, stride=_pair_field(spec, "stride", ctx, None),
-                       padding=_padding_field(spec, ctx))
-    if kind == "dropout":
-        _check_keys(spec, {"rate", "mode", "seed"}, ctx)
-        mode = spec.get("mode", "inference")
-        if mode not in ("inference", "training"):
-            raise NetworkSchemaError(f"{ctx}.mode: expected 'inference' or "
-                                     f"'training', got {mode!r}")
-        return Dropout(rate=_number(_field(spec, "rate", ctx), f"{ctx}.rate"),
-                       training=(mode == "training"),
-                       seed=_int(spec.get("seed", 0), f"{ctx}.seed"))
-    if kind == "batchnorm_inf":
-        _check_keys(spec, {"gamma", "beta", "running_mean", "running_var",
-                           "epsilon"}, ctx)
-        return BatchNormInference(
-            gamma=_array(_field(spec, "gamma", ctx), f"{ctx}.gamma", base, 1),
-            beta=_array(_field(spec, "beta", ctx), f"{ctx}.beta", base, 1),
-            running_mean=_array(_field(spec, "running_mean", ctx),
-                                f"{ctx}.running_mean", base, 1),
-            running_var=_array(_field(spec, "running_var", ctx),
-                               f"{ctx}.running_var", base, 1),
-            epsilon=_number(spec.get("epsilon", 1e-5), f"{ctx}.epsilon"))
-    if kind == "flatten":
-        _check_keys(spec, set(), ctx)
-        return Flatten()
-    if kind == "add":
-        _check_keys(spec, set(), ctx)
-        return Add()
-    if kind == "concat":
-        _check_keys(spec, {"axis"}, ctx)
-        return Concat(axis=_int(_field(spec, "axis", ctx), f"{ctx}.axis"))
-    if kind == "recurrent":
-        _check_keys(spec, {"w_hidden", "w_input", "bias", "leakiness", "steps"}, ctx)
-        return Recurrent(
-            w_hidden=_array(_field(spec, "w_hidden", ctx), f"{ctx}.w_hidden", base, 2),
-            w_input=_array(_field(spec, "w_input", ctx), f"{ctx}.w_input", base, 2),
-            bias=_array(_field(spec, "bias", ctx), f"{ctx}.bias", base, 1),
-            leakiness=_number(spec.get("leakiness", 0.0), f"{ctx}.leakiness"),
-            steps=_int(_field(spec, "steps", ctx), f"{ctx}.steps"))
-    raise NetworkSchemaError(f"{ctx}.type: unknown layer type {kind!r}")
+    name = _field(spec, "type", ctx)
+    if not isinstance(name, str) or name not in LAYERS:
+        raise NetworkSchemaError(f"{ctx}.type: unknown layer type {name!r}")
+    cls, fields = LAYERS[name]
+    _check_keys(spec, {key for key, _, _ in fields}, ctx)
+    args = {}
+    for key, kind, default in fields:
+        if key in spec:
+            args[_ATTR.get(key, key)] = _value(kind, spec[key], f"{ctx}.{key}", base)
+        elif default is REQUIRED:
+            raise NetworkSchemaError(f"{ctx}: missing field {key!r}")
+        else:
+            args[_ATTR.get(key, key)] = default
+    return cls(**args)
 
 
 def parse_network(path) -> Network:
@@ -243,8 +226,7 @@ def parse_network(path) -> Network:
                                  f"{sorted(unknown)[0]!r}")
     shape = _field(doc, "input_shape", str(path))
     if (not isinstance(shape, list) or not shape
-            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
-                       for d in shape)):
+            or not all(_is_int(d) and d >= 1 for d in shape)):
         raise NetworkSchemaError(f"{path}: input_shape must be a non-empty list "
                                  f"of positive ints, got {shape!r}")
     raw_nodes = _field(doc, "nodes", str(path))
@@ -280,83 +262,60 @@ def parse_network(path) -> Network:
 # ---------------------------------------------------------------------------
 # network JSON: writing
 
-def _aspair(v) -> list[int]:
-    if np.isscalar(v):
-        return [int(v), int(v)]
-    return [int(v[0]), int(v[1])]
+def _layer_doc(lay, nid: str, store) -> dict:
+    """The layer's JSON object; ``store(key, array)`` gives an array
+    field's JSON value. A subclass of a spec saves as its base kind."""
+    name = next((_TYPE_OF[c] for c in type(lay).__mro__ if c in _TYPE_OF), None)
+    if name is None:
+        raise GraphError(f"node {nid!r}: unknown layer {type(lay).__name__}")
+    doc = {"type": name}
+    for key, kind, _ in LAYERS[name][1]:
+        v = getattr(lay, _ATTR.get(key, key))
+        if v is None:
+            continue
+        if isinstance(kind, int):
+            v = store(key, v)
+        elif kind == "pair":
+            v = [int(v), int(v)] if np.isscalar(v) else [int(v[0]), int(v[1])]
+        elif kind == "mode":
+            v = "training" if v else "inference"
+        doc[key] = v
+    return doc
 
 
-def _layer_doc(lay, nid: str, sink: dict[str, np.ndarray]) -> dict:
-    def store(field: str, arr: np.ndarray):
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", nid)
-        fname = f"{safe}_{field}.ten"
-        sink[fname] = arr
-        return {"file": fname}
-
-    def emit(field: str, arr: np.ndarray):
-        if sink is None:
-            return np.asarray(arr).tolist()
-        return store(field, np.asarray(arr, dtype=np.float64))
-
-    if isinstance(lay, Dense):
-        return {"type": "dense", "weights": emit("weights", lay.weights),
-                "bias": emit("bias", lay.bias)}
-    if isinstance(lay, Conv2D):
-        return {"type": "conv2d", "filters": emit("filters", lay.filters),
-                "bias": emit("bias", lay.bias), "stride": _aspair(lay.stride),
-                "padding": lay.padding}
-    if isinstance(lay, Activation):
-        return {"type": "activation", "leakiness": lay.leakiness}
-    if isinstance(lay, MaxPool):
-        doc = {"type": "maxpool", "ksize": _aspair(lay.ksize),
-               "padding": lay.padding}
-        if lay.stride is not None:
-            doc["stride"] = _aspair(lay.stride)
-        return doc
-    if isinstance(lay, Dropout):
-        return {"type": "dropout", "rate": lay.rate,
-                "mode": "training" if lay.training else "inference",
-                "seed": lay.seed}
-    if isinstance(lay, BatchNormInference):
-        return {"type": "batchnorm_inf", "gamma": emit("gamma", lay.gamma),
-                "beta": emit("beta", lay.beta),
-                "running_mean": emit("running_mean", lay.running_mean),
-                "running_var": emit("running_var", lay.running_var),
-                "epsilon": lay.epsilon}
-    if isinstance(lay, Flatten):
-        return {"type": "flatten"}
-    if isinstance(lay, Add):
-        return {"type": "add"}
-    if isinstance(lay, Concat):
-        return {"type": "concat", "axis": lay.axis}
-    if isinstance(lay, Recurrent):
-        return {"type": "recurrent", "w_hidden": emit("w_hidden", lay.w_hidden),
-                "w_input": emit("w_input", lay.w_input),
-                "bias": emit("bias", lay.bias), "leakiness": lay.leakiness,
-                "steps": lay.steps}
-    raise GraphError(f"node {nid!r}: unknown layer {type(lay).__name__}")
-
-
-def save_network(net: Network, directory, name: str = "net.json",
-                 weights: str = "files") -> Path:
-    """Write a network to directory/name, weight arrays as sibling .ten
-    files (weights="files") or inline lists (weights="inline"). Output
-    bytes are deterministic for a given network."""
+def save_network(net: Network, directory, weights: str = "files") -> Path:
+    """Write a network to directory/net.json, weight arrays as sibling
+    .ten files (weights="files") or inline lists (weights="inline").
+    Output bytes are deterministic for a given network. A weight file is
+    <id>_<key>.ten, each id character outside [A-Za-z0-9_.-] made "_";
+    while that name, ignoring case, is taken by an earlier file, the
+    node's index in net.nodes is appended to the id part."""
     if weights not in ("files", "inline"):
         raise ValueError(f"weights must be 'files' or 'inline', got {weights!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    pending: dict[str, np.ndarray] = {} if weights == "files" else None
-    doc = {
-        "input_shape": list(net.input_shape),
-        "nodes": [{"id": n.id,
-                   "layer": _layer_doc(n.layer, n.id, pending),
-                   "inputs": list(n.inputs)} for n in net.nodes],
-        "output": net.output,
-    }
-    if pending:
-        for fname, arr in pending.items():
-            write_tensor(directory / fname, arr)
-    path = directory / name
+    pending: dict[str, np.ndarray] = {}
+    taken: set[str] = set()
+    nodes = []
+    for i, n in enumerate(net.nodes):
+        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", n.id)
+
+        def store(key, arr):
+            if weights == "inline":
+                return np.asarray(arr).tolist()
+            stem = safe
+            while f"{stem}_{key}.ten".lower() in taken:
+                stem += f"_{i}"
+            fname = f"{stem}_{key}.ten"
+            taken.add(fname.lower())
+            pending[fname] = np.asarray(arr, dtype=np.float64)
+            return {"file": fname}
+
+        nodes.append({"id": n.id, "layer": _layer_doc(n.layer, n.id, store),
+                      "inputs": list(n.inputs)})
+    doc = {"input_shape": list(net.input_shape), "nodes": nodes, "output": net.output}
+    for fname, arr in pending.items():
+        write_tensor(directory / fname, arr)
+    path = directory / "net.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return path

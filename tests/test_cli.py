@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -256,4 +258,21 @@ def test_non_finite_data_exits_2(tmp_path, netdir, capsys):
     assert run(["jvp", "--net", netdir / "net.json", "--x", netdir / "x.ten",
                 "--u", netdir / "x.ten", "--out", tmp_path / "o.ten"]) == 2
     assert "NaN or inf" in capsys.readouterr().err
+    assert not (tmp_path / "o.ten").exists()
+
+
+def test_integer_too_large_for_float64_exits_2(tmp_path, netdir, capsys):
+    # a 401-digit literal is beyond float64; as a layer scalar and inside
+    # an inline weight list it is bad data (exit 2), not a crash (exit 1)
+    text = (netdir / "net.json").read_text()
+    w = read_tensor(netdir / "fc0_weights.ten").tolist()
+    w[0][0] = "HUGE"
+    for nid, field, value in [("act1", "leakiness", "HUGE"), ("fc0", "weights", w)]:
+        doc = json.loads(text)
+        next(n for n in doc["nodes"] if n["id"] == nid)["layer"][field] = value
+        (netdir / "net.json").write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 400))
+        assert run(["jvp", "--net", netdir / "net.json", "--x", netdir / "x.ten",
+                    "--u", netdir / "x.ten", "--out", tmp_path / "o.ten"]) == 2
+        err = capsys.readouterr().err
+        assert f"node {nid!r}" in err and field in err and "float64" in err
     assert not (tmp_path / "o.ten").exists()
