@@ -198,10 +198,15 @@ def narrow_side_slope(net: Network, state: FrozenState | None = None,
     lead is a batch run first with every additive term; with state None
     its slice 0 decides the region and is recorded. When d_out < d_in one
     transposed pass over the rows of I_{d_out} on the state gives the
-    rows of A (reverse mode). Otherwise the rows of I_{d_in} ride behind
-    lead in the same forward pass, linear, and come out as the columns of
-    A (forward mode). Either way the identity holds min(d_in, d_out)²
-    entries, and A is never the difference of two affine outputs.
+    rows of A (reverse mode); if the output node is Dense, the pass starts
+    one step past it, on the rows of its weights W (what that step makes
+    of I_{d_out}), which saves d_out² · (W's d_in) multiply-adds. For
+    finite W the bits are the identity walk's, but that I W usually turns
+    a -0.0 of W into +0.0. A never shares memory with W. Otherwise the
+    rows of I_{d_in} ride behind lead in the same forward pass, linear,
+    and come out as the columns of A (forward mode). Either way the seed
+    holds at most min(d_in, d_out) rows, and A is never the difference
+    of two affine outputs.
     """
     plan = net.plan
     d_in, d_out = plan.d_in, plan.d_out
@@ -209,8 +214,11 @@ def narrow_side_slope(net: Network, state: FrozenState | None = None,
     if d_out < d_in:
         if lead is not None:
             out, state = _forward_pass(net, lead, len(lead), state)
-        rows = _transposed_pass(net, state, np.eye(d_out).reshape((d_out,) + plan.out_shape))
-        return rows.reshape(d_out, d_in), out
+        head = plan.by_id[net.output].layer
+        dense = isinstance(head, Dense)
+        seed = head.weights if dense else np.eye(d_out).reshape((d_out,) + plan.out_shape)
+        rows = _transposed_pass(net, state, seed, past_head=dense).reshape(d_out, d_in)
+        return (rows.copy() if np.may_share_memory(rows, seed) else rows), out
     batch, n = np.eye(d_in).reshape((d_in,) + net.input_shape), 0
     if lead is not None:
         batch, n = np.concatenate([lead, batch]), len(lead)
@@ -226,8 +234,8 @@ def materialize_affine_via_rop(net: Network, x: np.ndarray,
     and a zero input as slice 1; the additive terms reach these two
     slices only, so slice 1 comes out as b. A comes from
     ``narrow_side_slope`` on that pass: rows through one transposed pass
-    when d_out < d_in, otherwise columns carried by the recording pass
-    itself.
+    when d_out < d_in, which starts past a Dense output node on its
+    weights, otherwise columns carried by the recording pass itself.
 
     The region is the one slice 0 of that batch decides: where a
     pre-activation at x is within rounding of 0 it can be the

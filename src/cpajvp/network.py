@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -408,6 +408,12 @@ class Plan:
     transposed: tuple[tuple, ...]
     out_slot: int
 
+    @functools.cached_property
+    def past_head(self) -> Plan:
+        """This plan with its transposed walk one step past the output node."""
+        head = self.transposed[0]
+        return replace(self, transposed=self.transposed[1:], out_slot=head[3][0])
+
 
 @dataclass(frozen=True)
 class Network:
@@ -573,14 +579,17 @@ def _transposed_block(plan, state, g):
     return cot[0]  # every node's inputs lead back to the input
 
 
-def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray) -> np.ndarray:
+def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray,
+                     past_head: bool = False) -> np.ndarray:
     """The transposed engine: A^T applied to a (B, *output_shape) batch
     of cotangents on the recorded region, walking the graph backwards.
-    Returns a (B, *input_shape) batch."""
+    Returns a (B, *input_shape) batch. With past_head, g is the cotangent
+    batch at the output node's one input and the walk starts past the node."""
     check_finite(g, "cotangent")
+    plan = net.plan.past_head if past_head else net.plan
     if len(g) <= BLOCK_WIDTH:
-        return _transposed_block(net.plan, state, g)
-    return np.concatenate([_transposed_block(net.plan, state, g[start:start + BLOCK_WIDTH])
+        return _transposed_block(plan, state, g)
+    return np.concatenate([_transposed_block(plan, state, g[start:start + BLOCK_WIDTH])
                            for start in range(0, len(g), BLOCK_WIDTH)])
 
 

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+_vdot = getattr(np.vdot, "_implementation", np.vdot)  # np.vdot without the dispatch
+
 
 class ShapeMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
@@ -76,10 +78,11 @@ def as_f64(a) -> np.ndarray:
 
 def check_finite(a, what: str) -> None:
     # one BLAS dot is the fast test: NaN or inf anywhere makes it non-finite;
-    # entries above ~1e154 overflow it, so only then are entries tested.
+    # entries above ~1e154 overflow it (vdot, unlike dot, does not warn of
+    # that), so only then are entries tested.
     # Memory order keeps the ravel of a transposed block a view.
     flat = a.ravel(order="K")
-    if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+    if not math.isfinite(_vdot(flat, flat)) and not np.isfinite(flat).all():
         raise NonFiniteInput(f"{what} contains NaN or inf")
 
 

@@ -150,7 +150,8 @@ def probe_from_network(net: Network, x: np.ndarray,
     map A when d_in * d_out is at most the weight multiplies of one
     engine slice (``plan.slice_mults``). A is built on the first such
     block from the recorded state, by ``affine.narrow_side_slope``
-    (min(d_in, d_out) slices of one pass), and kept on the probe. It
+    (min(d_in, d_out) slices of one pass, which in reverse mode starts
+    past a Dense output node on its weights), and kept on the probe. It
     holds fewer entries than the block and its answer together. Counted
     in weight multiplies, the first wide block of a probe costs less
     than twice an engine pass over it (the build, then A U) and every
