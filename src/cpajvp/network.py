@@ -12,7 +12,9 @@ leading batch axis: ``infer`` (output shape), ``apply`` (forward step)
 and ``transpose`` (adjoint step on a frozen region). On a region every
 layer is diag(q) W plus an additive term, which ``apply`` adds to the
 first ``n_aff`` slices only; a nonlinearity without a frozen state takes
-its decision from slice 0 and applies it to every slice. One forward and
+its decision from slice 0 and applies it to every slice. A recording
+stores each elementwise nonlinearity's q in ``FrozenState.factors``, so
+its replay and transposed steps are one multiply by q. One forward and
 one transposed engine over these methods serve every pass, and all of
 them read the network's Plan, built once on first use.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -29,6 +31,8 @@ from . import numerics
 from .numerics import ShapeMismatch, as_f64, check_finite, keyed_rng, read_only
 
 INPUT_ID = "input"
+
+_where = getattr(np.where, "_implementation", np.where)  # np.where without the dispatch
 
 BLOCK_WIDTH = 1024
 """Most slices one engine pass carries; wider blocks run in several
@@ -50,10 +54,11 @@ class GraphError(ValueError):
 # mults(out_shape) counts the weight multiplies apply makes per slice.
 
 def _add_affine(out: np.ndarray, term, n_aff: int) -> np.ndarray:
-    """out with an additive term on its first n_aff slices."""
+    """out, a fresh product the step owns, with an additive term added in
+    place on its first n_aff slices."""
     if n_aff >= len(out):
-        return out + term
-    if n_aff:
+        out += term
+    elif n_aff:
         out[:n_aff] += term
     return out
 
@@ -162,12 +167,13 @@ class Activation(_Elementwise):
         (h,) = ins
         if record:
             mask = state.sign_masks[nid] = h[0] >= 0
+            q = state.factors[nid] = _where(mask, 1.0, self.leakiness)
         else:
-            mask = state.sign_masks[nid]
-            if mask.shape != h.shape[1:]:
-                raise ShapeMismatch(f"node {nid!r}: recorded mask {mask.shape} "
+            q = state.factors[nid]
+            if q.shape != h.shape[1:]:
+                raise ShapeMismatch(f"node {nid!r}: recorded factor {q.shape} "
                                     f"vs value {h.shape[1:]}")
-        return np.where(mask, h, h * self.leakiness)
+        return h * q
 
 
 @dataclass(frozen=True)
@@ -221,9 +227,9 @@ class Dropout(_Elementwise):
         if not self.training:
             return v
         if record:
-            state.keep_masks[nid] = _shared_dropout_mask(self.seed, nid, v.shape[1:],
-                                                         self.rate)
-        return v * (state.keep_masks[nid] / (1.0 - self.rate))
+            state.keep_masks[nid], state.factors[nid] = _shared_dropout(
+                self.seed, nid, v.shape[1:], self.rate)
+        return v * state.factors[nid]
 
 
 @dataclass(frozen=True)
@@ -357,24 +363,30 @@ class Recurrent(_Layer):
         # input drive w_input @ x_t (+ bias) for every step in one product
         drive = x.reshape(-1, x.shape[2]).dot(self.w_input.T).reshape(x.shape[:2] + (hid,))
         drive = _add_affine(drive, self.bias, n_aff)
-        if record:
-            state.sign_masks[nid] = np.empty((self.steps, hid), dtype=bool)
-        masks = state.sign_masks[nid]
+        if record:  # each step takes the masked formula, bit for bit h * q[t];
+            # q is built in one piece after the loop
+            masks = state.sign_masks[nid] = np.empty((self.steps, hid), dtype=bool)
+        else:
+            q = state.factors[nid]
         h = np.zeros((len(x), hid))
         for t in range(self.steps):
-            pre = h.dot(self.w_hidden.T) + drive[:, t]
+            h = h.dot(self.w_hidden.T)
+            h += drive[:, t]
             if record:
-                masks[t] = pre[0] >= 0
-            h = np.where(masks[t], pre, pre * self.leakiness)
+                masks[t] = h[0] >= 0
+                h = _where(masks[t], h, h * self.leakiness)
+            else:
+                h *= q[t]
+        if record:
+            state.factors[nid] = _where(masks, 1.0, self.leakiness)
         return h
 
     def transpose(self, nid, g, state, shapes):
-        masks = state.sign_masks[nid]
+        q = state.factors[nid]
         b = len(g)
         drive = np.empty((b, self.steps, self.w_hidden.shape[0]))
         for t in range(self.steps - 1, -1, -1):
-            drive[:, t] = np.where(masks[t], g, g * self.leakiness)
-            g = drive[:, t].dot(self.w_hidden)
+            g = np.multiply(g, q[t], out=drive[:, t]).dot(self.w_hidden)
         gx = drive.reshape(b * self.steps, -1).dot(self.w_input)
         return [gx.reshape((b,) + shapes[0])]
 
@@ -418,9 +430,9 @@ class Plan:
 @dataclass(frozen=True)
 class Network:
     """A layer graph, immutable: nodes and their inputs are stored as
-    tuples (lists are accepted). The graph is validated and its shapes
-    inferred once, on first use, into ``plan``; a bad graph constructs
-    and raises there."""
+    tuples (lists are accepted). The graph is validated, every weight
+    array checked for NaN and inf, and its shapes inferred once, on
+    first use, into ``plan``; a bad graph constructs and raises there."""
     input_shape: tuple[int, ...]
     nodes: tuple[Node, ...]
     output: str
@@ -435,6 +447,9 @@ class Network:
         shapes: dict[str, tuple[int, ...]] = {INPUT_ID: self.input_shape}
         steps, slot = [], {INPUT_ID: 0}
         for i, node in enumerate(self.nodes, 1):
+            for f in fields(node.layer):
+                if isinstance(arr := getattr(node.layer, f.name), np.ndarray):
+                    check_finite(arr, f"node {node.id!r}: {f.name}")
             ins = tuple(shapes[r] for r in node.inputs)
             shapes[node.id], slot[node.id] = node.layer.infer(node.id, ins), i
             steps.append((i, node.id, node.layer, tuple(slot[r] for r in node.inputs), ins))
@@ -500,10 +515,11 @@ def dropout_mask(seed: int, node_id: str, shape: tuple[int, ...],
 
 
 @functools.lru_cache(maxsize=256)
-def _shared_dropout_mask(seed, node_id, shape, rate) -> np.ndarray:
-    """dropout_mask drawn once per key and shared, read-only, by every
-    recording of that node."""
-    return read_only(dropout_mask(seed, node_id, shape, rate))[0]
+def _shared_dropout(seed, node_id, shape, rate) -> tuple[np.ndarray, np.ndarray]:
+    """dropout_mask and its replay factor keep / (1 - rate), made once
+    per key and shared, read-only, by every recording of that node."""
+    keep = dropout_mask(seed, node_id, shape, rate)
+    return read_only(keep, keep / (1.0 - rate))
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +536,17 @@ class FrozenState:
     sign_masks: activation nodes, True where pre-activation >= 0
                 (recurrent nodes store a (steps, hidden) stack);
     argmax_indices: max-pool winners as flat offsets into the node input;
-    keep_masks: training-mode dropout keep masks.
+    keep_masks: training-mode dropout keep masks;
+    factors: per activation, recurrent and training-mode dropout node,
+             the diagonal q that its replay multiplies by: where(mask, 1,
+             leakiness), or keep / (1 - rate), shared like the keep mask.
     """
     input: np.ndarray
     node_ids: frozenset[str]
     sign_masks: dict[str, np.ndarray] = field(default_factory=dict)
     argmax_indices: dict[str, np.ndarray] = field(default_factory=dict)
     keep_masks: dict[str, np.ndarray] = field(default_factory=dict)
+    factors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +558,7 @@ def _forward_block(plan, batch, n_aff, state, patch):
         state = FrozenState(batch[0], plan.ids)
     values = [batch]
     for nid, spec, slots in plan.forward:
-        ins = [values[s] for s in slots]
+        ins = [values[slots[0]]] if len(slots) == 1 else [values[s] for s in slots]
         out = spec.apply(nid, ins, n_aff, state, record)
         values.append(patch[nid](out, ins) if patch and nid in patch else out)
     return values[plan.out_slot], state

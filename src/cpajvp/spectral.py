@@ -438,7 +438,9 @@ def trace_mc(probe: LinearProbe, n_samples: int,
     samples = np.empty(n_samples)
     for start in range(0, n_samples, BLOCK_WIDTH):
         k = min(BLOCK_WIDTH, n_samples - start)
-        u = rng.integers(0, 2, (k, probe.dim_in)) * 2.0 - 1.0
+        u = rng.integers(0, 2, (k, probe.dim_in)).astype(np.float64)
+        u *= 2.0
+        u -= 1.0
         samples[start:start + k] = np.einsum("ij,ji->i", u, probe.rop(u.T))
     mean = float(samples.sum() / n_samples)  # np.mean's own formula
     se_mean = float(np.sqrt(np.sum((samples - mean) ** 2)

@@ -144,7 +144,6 @@ def _array(value, ctx: str, base: Path, ndim: int) -> np.ndarray:
     if arr.ndim != ndim:
         raise NetworkSchemaError(f"{ctx}: expected {ndim}-d array, got "
                                  f"{arr.ndim}-d of shape {arr.shape}")
-    check_finite(arr, ctx)
     return arr
 
 
@@ -159,7 +158,9 @@ def _value(kind, v, ctx: str, base: Path):
     if kind == "number":
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise NetworkSchemaError(f"{ctx}: expected a number, got {v!r}")
-        return float(_array(v, ctx, base, 0))
+        arr = _array(v, ctx, base, 0)
+        check_finite(arr, ctx)  # weight arrays are checked by Network.plan
+        return float(arr)
     if kind == "int":
         if not _is_int(v):
             raise NetworkSchemaError(f"{ctx}: expected an integer, got {v!r}")
@@ -206,9 +207,9 @@ def parse_network(path) -> Network:
     """Load and validate a network description, resolving weight file
     references relative to the JSON's directory. All schema, graph, and
     shape problems surface as NetworkSchemaError naming the node and
-    field; a NaN or inf weight, batch-norm parameter or layer scalar
-    raises NonFiniteInput, also naming both, so no later call has to
-    scan the weights again."""
+    field; a NaN or inf layer scalar raises NonFiniteInput, also naming
+    both, and so does a NaN or inf weight or batch-norm array, through
+    the plan that loading builds."""
     path = Path(path)
     try:
         text = path.read_text()
