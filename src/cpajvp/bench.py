@@ -20,6 +20,8 @@ timing and refuses to produce numbers when they disagree.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from statistics import mean, median, pstdev, quantiles
@@ -29,7 +31,6 @@ import numpy as np
 from .affine import BudgetExceeded
 from .network import Network, _forward_pass, _single, _transposed_pass, \
     forward, record_states
-from .numerics import check_finite
 
 
 class StrategyMismatch(RuntimeError):
@@ -90,7 +91,6 @@ def strategy_batch_jacobian(net: Network, x: np.ndarray, u: np.ndarray,
         if counts is not None:
             counts.transposed += 1
     u = _single(net, u, "direction")
-    check_finite(u, "direction")
     return (rows @ u.reshape(-1)).reshape(out_shape)
 
 
@@ -145,14 +145,19 @@ def _run_strategy(name: str, net: Network, x, u,
 # harness
 
 def _time_callable(fn, repetitions: int, warmup: int) -> dict[str, float]:
-    """Per-call wall times after warmup: median, mean, std, min and IQR."""
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(repetitions):
+    """Per-call wall times after warmup: median, mean, std, min and IQR.
+    As with ``timeit.Timer.autorange``, a repetition times a loop of n calls
+    and counts loop time / n; n is picked once, from the fastest warmup
+    call, as the least count whose loop takes 2 ms (1 without warmup)."""
+    def timed(n):
         t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
+        for _ in range(n):
+            fn()
+        return (time.perf_counter() - t0) / n
+
+    fastest = min((timed(1) for _ in range(warmup)), default=math.inf)
+    n = math.ceil(2e-3 / fastest) if 0.0 < fastest < 2e-3 else 1
+    times = [timed(n) for _ in range(repetitions)]
     q1, _, q3 = quantiles(times, n=4)
     return {"median_s": median(times), "mean_s": mean(times),
             "std_s": pstdev(times), "min_s": min(times), "iqr_s": q3 - q1}
@@ -165,8 +170,8 @@ def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
 
     Every strategy must reproduce every other within 1e-9 relative
     error on this instance, else StrategyMismatch aborts the run and
-    nothing is timed. Wall time is measured per call with a monotonic
-    clock after warmup discard runs.
+    nothing is timed. Wall time per call is measured with a monotonic
+    clock, in loops of calls, after warmup discard runs.
     """
     if repetitions < 10:
         raise ValueError(f"need at least 10 repetitions, got {repetitions}")
@@ -174,30 +179,21 @@ def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     strategies = list(strategies)
     plan = net.plan
-    results = {}
-    counted = {}
-    for name in strategies:
-        counts = PassCounts()
-        results[name] = _run_strategy(name, net, x, u, counts)
-        counted[name] = counts
-    names = list(results)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a, b = results[names[i]], results[names[j]]
-            scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
-            err = float(np.max(np.abs(a - b))) / scale
-            if err > 1e-9:
-                raise StrategyMismatch(
-                    f"{names[i]} and {names[j]} disagree (relative error "
-                    f"{err:.3e}); not timing a wrong answer")
-    reports = []
-    for name in strategies:
-        stats = _time_callable(lambda n=name: _run_strategy(n, net, x, u),
-                               repetitions, warmup)
-        reports.append(BenchReport(strategy=name, d_in=plan.d_in, d_out=plan.d_out,
-                                   repetitions=repetitions, passes=counted[name],
-                                   **stats))
-    return reports
+    counted = {name: PassCounts() for name in strategies}
+    results = {name: _run_strategy(name, net, x, u, c) for name, c in counted.items()}
+    for first, second in itertools.combinations(results, 2):
+        a, b = results[first], results[second]
+        scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+        err = float(np.max(np.abs(a - b))) / scale
+        if err > 1e-9:
+            raise StrategyMismatch(
+                f"{first} and {second} disagree (relative error "
+                f"{err:.3e}); not timing a wrong answer")
+    return [BenchReport(strategy=name, d_in=plan.d_in, d_out=plan.d_out,
+                        repetitions=repetitions, passes=counted[name],
+                        **_time_callable(lambda n=name: _run_strategy(n, net, x, u),
+                                         repetitions, warmup))
+            for name in strategies]
 
 
 def benchmark_forward(net: Network, x: np.ndarray, repetitions: int = 100,

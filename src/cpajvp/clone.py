@@ -16,20 +16,25 @@ from dataclasses import replace
 import numpy as np
 
 from .network import (
-    FrozenState, GraphError, Network, ShapeMismatch, _forward_pass,
-    _single, _transposed_pass, as_f64, record_states,
+    FrozenState, GraphError, Network, ShapeMismatch, _checked, _forward_pass,
+    _single, _transposed_pass, record_states,
 )
-from .numerics import check_finite
 
 
 def _check_state(net: Network, state: FrozenState) -> None:
-    ids = net.plan.ids
-    if state.node_ids != ids:
-        raise GraphError(f"frozen state does not belong to this network "
-                         f"(mismatched nodes: {sorted(state.node_ids ^ ids)[:3]})")
+    """The one check of a caller's state: see ``frozen_forward``."""
+    plan, rec = net.plan, state.plan
+    if rec is plan:
+        return
+    ours, theirs = ({(i, type(n.layer)) for i, n in p.by_id.items()} for p in (plan, rec))
+    if ours != theirs:
+        raise GraphError(f"frozen state does not belong to this network (mismatched "
+                         f"nodes: {sorted({i for i, _ in ours ^ theirs})[:3]})")
     if state.input.shape != net.input_shape:
         raise ShapeMismatch(f"state was recorded on input {state.input.shape}, "
                             f"network expects {net.input_shape}")
+    if shapes := [i for i in plan.by_id if rec.shapes[i] != plan.shapes[i]]:
+        raise ShapeMismatch(f"state was recorded on other shapes at nodes {shapes[:3]}")
 
 
 def frozen_forward(net: Network, state: FrozenState, v: np.ndarray,
@@ -39,6 +44,9 @@ def frozen_forward(net: Network, state: FrozenState, v: np.ndarray,
     mode "affine" evaluates A v + b (all biases kept); mode "linear"
     leaves every additive term out and evaluates A v. At v = state.input
     in affine mode this reproduces the recorded forward bitwise.
+    The state may come from any network with the same node ids and, per
+    node, the same layer kind and shape, such as a copy with other weights;
+    else GraphError or ShapeMismatch. v is checked as "input".
     """
     if mode not in ("affine", "linear"):
         raise ValueError(f"mode must be 'affine' or 'linear', got {mode!r}")
@@ -55,16 +63,13 @@ def jvp_input(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _vjp(net: Network, state: FrozenState, v) -> np.ndarray:
-    v = as_f64(v)
-    out_shape = net.plan.out_shape
-    if v.shape != out_shape:
-        raise ShapeMismatch(f"cotangent shape {v.shape} does not match "
-                            f"output {out_shape}")
+    v = _checked(v, net.plan.out_shape, "cotangent", "output")
     return _transposed_pass(net, state, v[None])[0]
 
 
 def frozen_vjp(net: Network, state: FrozenState, v: np.ndarray) -> np.ndarray:
-    """Transposed frozen replay: A^T v for the recorded region."""
+    """Transposed frozen replay: A^T v for the recorded region; the state
+    is checked as in ``frozen_forward``."""
     _check_state(net, state)
     return _vjp(net, state, v)
 
@@ -97,12 +102,8 @@ def jvp_weight(net: Network, x: np.ndarray, node_id: str,
     if name is None:
         raise GraphError(f"node {node_id!r} is {type(target.layer).__name__}, "
                          f"weight directions need a Dense or Conv2D node")
-    direction = as_f64(direction)
-    ref_shape = getattr(target.layer, name).shape
-    if direction.shape != ref_shape:
-        raise ShapeMismatch(f"direction {direction.shape} does not match "
-                            f"node {node_id!r} weights {ref_shape}")
-    check_finite(direction, "direction")
+    direction = _checked(direction, getattr(target.layer, name).shape, "direction",
+                         f"node {node_id!r} weights")
     tangent = replace(target.layer, **{name: direction})
 
     def add_tangent(out, ins):

@@ -16,7 +16,9 @@ its decision from slice 0 and applies it to every slice. A recording
 stores each elementwise nonlinearity's q in ``FrozenState.factors``, so
 its replay and transposed steps are one multiply by q. One forward and
 one transposed engine over these methods serve every pass, and all of
-them read the network's Plan, built once on first use.
+them read the network's Plan, built once on first use. The engines
+check nothing: a public entry checks each caller array once, with
+``_checked``, and a caller's state once, in ``clone._check_state``.
 """
 from __future__ import annotations
 
@@ -167,13 +169,8 @@ class Activation(_Elementwise):
         (h,) = ins
         if record:
             mask = state.sign_masks[nid] = h[0] >= 0
-            q = state.factors[nid] = _where(mask, 1.0, self.leakiness)
-        else:
-            q = state.factors[nid]
-            if q.shape != h.shape[1:]:
-                raise ShapeMismatch(f"node {nid!r}: recorded factor {q.shape} "
-                                    f"vs value {h.shape[1:]}")
-        return h * q
+            state.factors[nid] = _where(mask, 1.0, self.leakiness)
+        return h * state.factors[nid]
 
 
 @dataclass(frozen=True)
@@ -410,7 +407,6 @@ class Plan:
     shapes) of the nodes that feed the output, in reverse. Steps hold
     specs, not bound methods, so a patch on a spec class takes effect."""
     shapes: dict[str, tuple[int, ...]]  # per-sample output shapes, input's too
-    ids: frozenset[str]
     by_id: dict[str, Node]
     out_shape: tuple[int, ...]
     d_in: int   # flat input and output sizes
@@ -459,7 +455,7 @@ class Network:
                 live.update(step[3])
         out_shape = shapes[self.output]
         by_id = {node.id: node for node in self.nodes}
-        return Plan(shapes=shapes, ids=frozenset(by_id), by_id=by_id,
+        return Plan(shapes=shapes, by_id=by_id,
                     out_shape=out_shape, d_in=int(np.prod(self.input_shape)),
                     d_out=int(np.prod(out_shape)),
                     slice_mults=sum(node.layer.mults(shapes[node.id])
@@ -531,8 +527,8 @@ class FrozenState:
     former ``outputs`` field and the engine's ``keep_outputs`` are gone).
 
     input: the recording input;
-    node_ids: the node-id set of the recording network's plan, which
-              ties the state to its network;
+    plan: the recording network's plan, which ties the state to the
+          networks it may replay on (``clone.frozen_forward``);
     sign_masks: activation nodes, True where pre-activation >= 0
                 (recurrent nodes store a (steps, hidden) stack);
     argmax_indices: max-pool winners as flat offsets into the node input;
@@ -542,7 +538,7 @@ class FrozenState:
              leakiness), or keep / (1 - rate), shared like the keep mask.
     """
     input: np.ndarray
-    node_ids: frozenset[str]
+    plan: Plan = field(repr=False)
     sign_masks: dict[str, np.ndarray] = field(default_factory=dict)
     argmax_indices: dict[str, np.ndarray] = field(default_factory=dict)
     keep_masks: dict[str, np.ndarray] = field(default_factory=dict)
@@ -555,7 +551,7 @@ class FrozenState:
 def _forward_block(plan, batch, n_aff, state, patch):
     record = state is None
     if record:
-        state = FrozenState(batch[0], plan.ids)
+        state = FrozenState(batch[0], plan)
     values = [batch]
     for nid, spec, slots in plan.forward:
         ins = [values[slots[0]]] if len(slots) == 1 else [values[s] for s in slots]
@@ -576,9 +572,8 @@ def _forward_pass(net: Network, batch: np.ndarray, n_aff: int,
     ``patch`` maps node ids to functions (output batch, input batches)
     -> output batch, run right after the node's layer; callers that
     patch pass at most BLOCK_WIDTH slices. Returns the
-    (B, *output_shape) batch and the state.
+    (B, *output_shape) batch and the state. Nothing is checked here.
     """
-    check_finite(batch, "input")
     if len(batch) <= BLOCK_WIDTH:
         return _forward_block(net.plan, batch, n_aff, state, patch)
     outs = []
@@ -605,7 +600,6 @@ def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray,
     of cotangents on the recorded region, walking the graph backwards.
     Returns a (B, *input_shape) batch. With past_head, g is the cotangent
     batch at the output node's one input and the walk starts past the node."""
-    check_finite(g, "cotangent")
     plan = net.plan.past_head if past_head else net.plan
     if len(g) <= BLOCK_WIDTH:
         return _transposed_block(plan, state, g)
@@ -613,13 +607,19 @@ def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray,
                            for start in range(0, len(g), BLOCK_WIDTH)])
 
 
-def _single(net: Network, a, what: str = "input") -> np.ndarray:
-    """One array of the network's input shape as a batch of one."""
+def _checked(a, shape: tuple[int, ...], what: str, of: str) -> np.ndarray:
+    """A caller's array as float64, checked once for its shape (that of
+    ``of``) and for NaN or inf; errors name it ``what``."""
     a = as_f64(a)
-    if a.shape != net.input_shape:
-        raise ShapeMismatch(f"{what} shape {a.shape} does not match network "
-                            f"input {net.input_shape}")
-    return a[None]
+    if a.shape != shape:
+        raise ShapeMismatch(f"{what} shape {a.shape} does not match {of} {shape}")
+    check_finite(a, what)
+    return a
+
+
+def _single(net: Network, a, what: str = "input") -> np.ndarray:
+    """One checked array of the network's input shape as a batch of one."""
+    return _checked(a, net.input_shape, what, "network input")[None]
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:

@@ -177,8 +177,8 @@ def probe_from_network(net: Network, x: np.ndarray,
         wide = min(plan.d_in, plan.d_out)
 
     def rop(u: np.ndarray) -> np.ndarray:
+        check_finite(u, "input")
         if u.ndim == 2 and u.shape[1] > wide:
-            check_finite(u, "input")
             if not kept:
                 kept.append(read_only(narrow_side_slope(net, state)[0])[0])
             return kept[0] @ u
@@ -186,6 +186,7 @@ def probe_from_network(net: Network, x: np.ndarray,
         return _as_columns(out, u)
 
     def lop(v: np.ndarray) -> np.ndarray:
+        check_finite(v, "cotangent")
         return _as_columns(_transposed_pass(net, state, _as_batch(v, out_shape)), v)
 
     return LinearProbe(plan.d_in, plan.d_out, rop, lop, check_adjoint=False, blocks=True)

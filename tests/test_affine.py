@@ -236,3 +236,26 @@ def test_nets_that_end_in_an_activation_keep_the_identity_walk(monkeypatch):
             assert walks == [], name
         assert close_to(probed.a, materialize_affine_direct(net, x).a), name
     assert sorted(reverse) == sorted([f"frob{s}" for s in range(10)] + ["rect20x32"])
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn", "rnn"])
+@pytest.mark.parametrize("mode", ["reverse", "forward"])
+def test_a_map_build_or_probe_scans_the_callers_x_alone(arch, mode, monkeypatch):
+    # the head's weights, identity rows, zero slices and check pairs are
+    # the library's own and are not scanned again
+    net, x = headed(arch, 0, mode)
+    net.plan  # its weight scan is done once, here
+    real, scans = cpajvp.network.check_finite, []
+
+    def spy(a, what):
+        scans.append((what, np.array(a)))
+        real(a, what)
+
+    for module in (cpajvp.network, cpajvp.clone, cpajvp.affine, spectral):
+        if hasattr(module, "check_finite"):
+            monkeypatch.setattr(module, "check_finite", spy)
+    for build in (materialize_affine_via_rop, probe_from_network):
+        scans.clear()
+        build(net, x)
+        assert [what for what, _ in scans] == ["input"], build
+        assert np.array_equal(scans[0][1], x)

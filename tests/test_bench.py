@@ -8,7 +8,7 @@ from cpajvp import (BudgetExceeded, PassCounts, StrategyMismatch, fixtures,
                     forward, jvp_input, record_states, reports_to_csv,
                     run_benchmark, benchmark_forward, strategy_batch_jacobian,
                     strategy_clone, strategy_double_vjp)
-from cpajvp.bench import CSV_HEADER, _run_strategy
+from cpajvp.bench import CSV_HEADER, _run_strategy, _time_callable
 from nets import with_scaled_offsets
 
 
@@ -115,6 +115,20 @@ def test_timer_fills_min_and_iqr(monkeypatch):
     assert report.median_s == 5.5 and report.mean_s == 5.5
     assert report.min_s == 1.0
     assert report.iqr_s == 8.25 - 2.75  # exclusive quartiles of 1..10
+
+
+def test_timer_times_fast_calls_in_loops_picked_during_warmup(monkeypatch):
+    # the fastest of two warmup calls, 2**-10 s, gives loops of
+    # n = ceil(2e-3 / 2**-10) = 3 calls; loop i takes 3 * i s, i = 1..10
+    ticks = [0.0, 2.0 ** -9, 1.0, 1.0 + 2.0 ** -10]
+    for i in range(1, 11):
+        ticks += [ticks[-1], ticks[-1] + 3.0 * i]
+    monkeypatch.setattr("cpajvp.bench.time", SimpleNamespace(perf_counter=iter(ticks).__next__))
+    calls = []
+    stats = _time_callable(lambda: calls.append(None), repetitions=10, warmup=2)
+    assert len(calls) == 2 + 10 * 3
+    assert stats["min_s"] == 1.0 and stats["median_s"] == 5.5
+    assert stats["iqr_s"] == 8.25 - 2.75
 
 
 def test_csv_layout():

@@ -251,7 +251,11 @@ def test_non_finite_data_exits_2(tmp_path, netdir, capsys):
                 ["frobnorm", "--samples", 10]):
         assert run([cmd[0], "--net", netdir / "net.json", "--x",
                     tmp_path / "nan.ten"] + cmd[1:]) == 2
-        assert "NaN or inf" in capsys.readouterr().err
+        assert "input contains NaN or inf" in capsys.readouterr().err
+    # a bad direction is named as such, not as the input
+    assert run(["jvp", "--net", netdir / "net.json", "--x", netdir / "x.ten",
+                "--u", tmp_path / "nan.ten", "--out", tmp_path / "o.ten"]) == 2
+    assert "error: direction contains NaN or inf" in capsys.readouterr().err
     w = read_tensor(netdir / "fc0_weights.ten")
     w[0, 0] = np.inf
     write_tensor(netdir / "fc0_weights.ten", w)

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 import nets
-from cpajvp import (GraphError, NonFiniteInput, ShapeMismatch, fixtures,
+from cpajvp import (Add, Conv2D, Dense, Dropout, GraphError, MaxPool, Network, Node,
+                    NonFiniteInput, ShapeMismatch, fixtures,
                     forward, frozen_forward, frozen_vjp, jvp_input,
                     jvp_weight, materialize_affine_direct,
                     materialize_affine_via_rop, probe_from_network,
-                    record_states, vjp_input)
+                    record_states, strategy_batch_jacobian, strategy_clone,
+                    strategy_double_vjp, vjp_input)
 
 ALL_ARCHS = fixtures.ARCHITECTURES
 
@@ -99,6 +103,59 @@ def test_foreign_state_is_rejected_by_node_ids_and_input_shape():
         frozen_forward(net5, state6, np.ones(5))
     with pytest.raises(ShapeMismatch, match="recorded on input"):
         frozen_vjp(net5, state6, np.ones(4))
+
+
+def training_dropout_net(width):
+    """3 -> width -> training-mode dropout -> 3, with seeded weights."""
+    rng = np.random.default_rng(40)
+    return Network((3,), [
+        Node("fc0", Dense(rng.standard_normal((width, 3)), rng.standard_normal(width)),
+             ["input"]),
+        Node("drop", Dropout(0.5, training=True, seed=3), ["fc0"]),
+        Node("fc1", Dense(rng.standard_normal((3, width)), rng.standard_normal(3)),
+             ["drop"])], "fc1")
+
+
+def pooled_sum_net(channels):
+    """A (1, 2, 2, 1) input through a 1x1 conv and a 2x2 max pool, added to a
+    2x2 conv of the input: an add that would broadcast a 1-channel pool
+    over more channels."""
+    rng = np.random.default_rng(41)
+    return Network((1, 2, 2, 1), [
+        Node("c1", Conv2D(rng.standard_normal((1, 1, 1, channels)),
+                          rng.standard_normal(channels)), ["input"]),
+        Node("pool", MaxPool((2, 2)), ["c1"]),
+        Node("c2", Conv2D(rng.standard_normal((2, 2, 1, channels)),
+                          rng.standard_normal(channels)), ["input"]),
+        Node("sum", Add(), ["pool", "c2"])], "sum")
+
+
+@pytest.mark.parametrize("build,node", [(training_dropout_net, "drop"),
+                                        (pooled_sum_net, "pool")])
+def test_a_state_recorded_on_other_node_shapes_is_rejected(build, node):
+    # the narrow node's recorded decision would broadcast over the wide one
+    narrow, wide = build(1), build(5)
+    x = np.linspace(-1.0, 1.0, math.prod(narrow.input_shape)).reshape(narrow.input_shape)
+    _, state = record_states(narrow, x)
+    with pytest.raises(ShapeMismatch, match=node):
+        frozen_forward(wide, state, x, mode="linear")
+    with pytest.raises(ShapeMismatch, match=node):
+        frozen_vjp(wide, state, np.ones(forward(wide, x).shape))
+    # weights may differ: a copy with other weights of the same shapes replays
+    first = narrow.nodes[0]
+    weights = getattr(first.layer, first.layer.weight_field)
+    other = nets.replace_weights(narrow, first.id, 2.0 * weights)
+    assert np.array_equal(frozen_forward(other, state, x, mode="linear"),
+                          frozen_forward(other, record_states(other, x)[1], x, mode="linear"))
+
+
+def test_a_state_of_another_layer_kind_does_not_belong():
+    net = nets.dense_relu_chain(0, [4, 6, 3])
+    _, state = record_states(net, np.ones(4))
+    kinds = [Node(n.id, Dropout(0.0) if n.id == "act1" else n.layer, n.inputs)
+             for n in net.nodes]
+    with pytest.raises(GraphError, match="does not belong.*act1"):
+        frozen_forward(Network(net.input_shape, kinds, net.output), state, np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -251,25 +308,36 @@ def test_non_finite_inputs_raise():
         for bad in (np.nan, np.inf, -np.inf):
             y = x.copy()
             y.reshape(-1)[0] = bad
-            for call in (lambda: forward(net, y),
-                         lambda: record_states(net, y),
-                         lambda: jvp_input(net, y, good_u),
-                         lambda: jvp_input(net, x, y),
-                         lambda: vjp_input(net, y, np.ones_like(fx))):
-                with pytest.raises(NonFiniteInput):
+            # each error names the array that holds the bad entry
+            for label, call in (
+                    ("input", lambda: forward(net, y)),
+                    ("input", lambda: record_states(net, y)),
+                    ("input", lambda: jvp_input(net, y, good_u)),
+                    ("direction", lambda: jvp_input(net, x, y)),
+                    ("direction", lambda: strategy_clone(net, x, y)),
+                    ("direction", lambda: strategy_double_vjp(net, x, y)),
+                    ("direction", lambda: strategy_batch_jacobian(net, x, y)),
+                    ("input", lambda: vjp_input(net, y, np.ones_like(fx)))):
+                with pytest.raises(NonFiniteInput, match=f"^{label} contains"):
                     call()
             v = np.ones_like(fx)
             v.reshape(-1)[-1] = bad
-            with pytest.raises(NonFiniteInput, match="cotangent"):
+            with pytest.raises(NonFiniteInput, match="^cotangent contains"):
                 vjp_input(net, x, v)
             _, state = record_states(net, x)
-            with pytest.raises(NonFiniteInput):
+            with pytest.raises(NonFiniteInput, match="^input contains"):
                 frozen_forward(net, state, y, mode="linear")
+            with pytest.raises(NonFiniteInput, match="^cotangent contains"):
+                frozen_vjp(net, state, v)
             p = probe_from_network(net, x)
             block = np.ones((p.dim_in, 3))
             block[-1, 2] = bad
-            with pytest.raises(NonFiniteInput):
+            with pytest.raises(NonFiniteInput, match="^input contains"):
                 p.rop(block)
+            block = np.ones((p.dim_out, 3))
+            block[-1, 2] = bad
+            with pytest.raises(NonFiniteInput, match="^cotangent contains"):
+                p.lop(block)
 
 
 def test_non_finite_weight_direction_raises():

@@ -130,7 +130,7 @@ def test_a_state_from_another_net_with_the_same_ids_still_raises():
     _, state = record_states(nets.dense_relu_chain(0, [4, 6, 3]), np.ones(4))
     other = nets.dense_relu_chain(0, [4, 5, 3])
     with pytest.raises(ShapeMismatch, match="act1"):
-        _forward_pass(other, np.ones((2, 4)), 0, state)
+        frozen_forward(other, state, np.ones(4), mode="linear")
 
 
 def read_only_copy(a):
