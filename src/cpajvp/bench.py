@@ -19,18 +19,23 @@ timing and refuses to produce numbers when they disagree.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from statistics import mean, median, pstdev, quantiles
 
 import numpy as np
 
 from .affine import BudgetExceeded
-from .network import Network, _forward_pass, _single, _transposed_pass, \
+from .network import Network, _forward_pass, _shaped, _single, _transposed_pass, \
     forward, record_states
+from .numerics import NonFiniteInput, check_finite
 
 
 class StrategyMismatch(RuntimeError):
@@ -72,80 +77,107 @@ class BenchReport:
 # strategies
 
 def strategy_batch_jacobian(net: Network, x: np.ndarray, u: np.ndarray,
-                            counts: PassCounts | None = None,
                             row_budget: int = 4096) -> np.ndarray:
     """J u by stacking all d_out Jacobian rows from transposed replays."""
-    _, state = record_states(net, x)
-    if counts is not None:
-        counts.forward += 1
+    u = _single(net, u, "direction")
     out_shape, d_out = net.plan.out_shape, net.plan.d_out
     if d_out > row_budget:
         raise BudgetExceeded(f"{d_out} Jacobian rows exceed the row budget "
                              f"{row_budget}")
+    _, state = record_states(net, x)
     rows = np.empty((d_out, state.input.size))
     e = np.zeros(d_out)
     for i in range(d_out):
         e[i] = 1.0
         rows[i] = _transposed_pass(net, state, e.reshape((1,) + out_shape)).reshape(-1)
         e[i] = 0.0
-        if counts is not None:
-            counts.transposed += 1
-    u = _single(net, u, "direction")
     return (rows @ u.reshape(-1)).reshape(out_shape)
 
 
-def strategy_double_vjp(net: Network, x: np.ndarray, u: np.ndarray,
-                        counts: PassCounts | None = None) -> np.ndarray:
-    """J u from one linear replay of u, after a transposed replay whose
-    result is thrown away.
-
-    This is not a vjp-of-vjp: the transposed pass runs on a ones
-    cotangent and its output is discarded, so the strategy costs one
-    linear replay plus one wasted backward pass."""
+def strategy_double_vjp(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """J u from one linear replay of u, after a transposed replay of a
+    ones cotangent whose result is thrown away: not a vjp-of-vjp."""
+    u = _single(net, u, "direction")
     _, state = record_states(net, x)
-    if counts is not None:
-        counts.forward += 1
-    probe = np.ones((1,) + net.plan.out_shape)
-    _transposed_pass(net, state, probe)  # result discarded
-    if counts is not None:
-        counts.transposed += 1
-    out, _ = _forward_pass(net, _single(net, u, "direction"), 0, state)
-    if counts is not None:
-        counts.frozen += 1
+    _transposed_pass(net, state, np.ones((1,) + net.plan.out_shape))  # result discarded
+    out, _ = _forward_pass(net, u, 0, state)
     return out[0]
 
 
-def strategy_clone(net: Network, x: np.ndarray, u: np.ndarray,
-                   counts: PassCounts | None = None) -> tuple[np.ndarray, np.ndarray]:
+def strategy_clone(net: Network, x: np.ndarray,
+                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """J u from one batched pass over [x, u] with additive terms on the
     x slice only; returns (J u, f(x)), the network output being a free
     side product of the x slice."""
-    batch = np.concatenate([_single(net, x), _single(net, u, "direction")])
+    batch = np.empty((2,) + net.input_shape)  # filled: np.stack costs more than a scan
+    batch[0] = _shaped(x, net.input_shape, "input", "network input")
+    batch[1] = _shaped(u, net.input_shape, "direction", "network input")
+    try:
+        check_finite(batch, "input")
+    except NonFiniteInput:  # only then are x and u scanned apart, to name the bad one
+        check_finite(batch[0], "input")
+        check_finite(batch[1], "direction")
     out, _ = _forward_pass(net, batch, 1)
-    if counts is not None:
-        counts.frozen += 1
     return out[1], out[0]
 
 
 _STRATEGIES = ("batch-jacobian", "double-vjp", "clone")
 
 
-def _run_strategy(name: str, net: Network, x, u,
-                  counts: PassCounts | None = None) -> np.ndarray:
+def _passes(name: str, d_out: int) -> PassCounts:
+    """A strategy's passes per call: recordings, frozen and transposed."""
+    return {"batch-jacobian": PassCounts(1, 0, d_out), "double-vjp": PassCounts(1, 1, 1),
+            "clone": PassCounts(0, 1, 0), "forward": PassCounts(1, 0, 0)}[name]
+
+
+def _run_strategy(name: str, net: Network, x, u) -> np.ndarray:
     if name == "batch-jacobian":
-        return strategy_batch_jacobian(net, x, u, counts)
+        return strategy_batch_jacobian(net, x, u)
     if name == "double-vjp":
-        return strategy_double_vjp(net, x, u, counts)
-    if name == "clone":
-        return strategy_clone(net, x, u, counts)[0]
-    raise ValueError(f"unknown strategy {name!r}; choose from {_STRATEGIES}")
+        return strategy_double_vjp(net, x, u)
+    return strategy_clone(net, x, u)[0]
 
 
 # ---------------------------------------------------------------------------
 # harness
 
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy ships in
+    numpy.libs, or None where there is none."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads"):
+            if hasattr(handle, name.format("set")):
+                get, put = (getattr(handle, name.format(op)) for op in ("get", "set"))
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, then restore its count. Two
+    BLAS threads on a busy core have slow phases that outlast a timing
+    block; without an OpenBLAS found, the default count stays."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _time_callable(fn, repetitions: int, warmup: int) -> dict[str, float]:
-    """Per-call wall times after warmup: median, mean, std, min and IQR.
+    """Per-call wall times after warmup, at one BLAS thread where numpy's
+    OpenBLAS is found: median, mean, std, min and IQR.
     As with ``timeit.Timer.autorange``, a repetition times a loop of n calls
     and counts loop time / n; n is picked once, from the fastest warmup
     call, as the least count whose loop takes 2 ms (1 without warmup)."""
@@ -155,17 +187,17 @@ def _time_callable(fn, repetitions: int, warmup: int) -> dict[str, float]:
             fn()
         return (time.perf_counter() - t0) / n
 
-    fastest = min((timed(1) for _ in range(warmup)), default=math.inf)
-    n = math.ceil(2e-3 / fastest) if 0.0 < fastest < 2e-3 else 1
-    times = [timed(n) for _ in range(repetitions)]
+    with _one_blas_thread():
+        fastest = min((timed(1) for _ in range(warmup)), default=math.inf)
+        n = math.ceil(2e-3 / fastest) if 0.0 < fastest < 2e-3 else 1
+        times = [timed(n) for _ in range(repetitions)]
     q1, _, q3 = quantiles(times, n=4)
     return {"median_s": median(times), "mean_s": mean(times),
             "std_s": pstdev(times), "min_s": min(times), "iqr_s": q3 - q1}
 
 
 def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
-                  strategies=_STRATEGIES, repetitions: int = 100,
-                  warmup: int = 5) -> list[BenchReport]:
+                  repetitions: int = 100, warmup: int = 5) -> list[BenchReport]:
     """Cross-check the strategies, then time each one.
 
     Every strategy must reproduce every other within 1e-9 relative
@@ -177,10 +209,8 @@ def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
         raise ValueError(f"need at least 10 repetitions, got {repetitions}")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
-    strategies = list(strategies)
     plan = net.plan
-    counted = {name: PassCounts() for name in strategies}
-    results = {name: _run_strategy(name, net, x, u, c) for name, c in counted.items()}
+    results = {name: _run_strategy(name, net, x, u) for name in _STRATEGIES}
     for first, second in itertools.combinations(results, 2):
         a, b = results[first], results[second]
         scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
@@ -190,10 +220,10 @@ def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
                 f"{first} and {second} disagree (relative error "
                 f"{err:.3e}); not timing a wrong answer")
     return [BenchReport(strategy=name, d_in=plan.d_in, d_out=plan.d_out,
-                        repetitions=repetitions, passes=counted[name],
+                        repetitions=repetitions, passes=_passes(name, plan.d_out),
                         **_time_callable(lambda n=name: _run_strategy(n, net, x, u),
                                          repetitions, warmup))
-            for name in strategies]
+            for name in _STRATEGIES]
 
 
 def benchmark_forward(net: Network, x: np.ndarray, repetitions: int = 100,
@@ -201,7 +231,7 @@ def benchmark_forward(net: Network, x: np.ndarray, repetitions: int = 100,
     """Baseline timing of the plain forward pass, for slowdown ratios."""
     stats = _time_callable(lambda: forward(net, x), repetitions, warmup)
     return BenchReport(strategy="forward", d_in=net.plan.d_in, d_out=net.plan.d_out,
-                       repetitions=repetitions, passes=PassCounts(forward=1),
+                       repetitions=repetitions, passes=_passes("forward", net.plan.d_out),
                        **stats)
 
 

@@ -206,6 +206,9 @@ def _cmd_bench(args) -> int:
             reports.append(bench_mod.benchmark_forward(net, x,
                                                        repetitions=args.reps,
                                                        warmup=args.warmup))
+    print("cpajvp bench: timed at " + ("1 BLAS thread" if bench_mod._openblas() else
+                                       "the default BLAS thread count (no OpenBLAS found)"),
+          file=sys.stderr)
     if args.csv:
         bench_mod.reports_to_csv(reports, args.csv)
     else:

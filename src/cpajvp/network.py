@@ -427,8 +427,9 @@ class Plan:
 class Network:
     """A layer graph, immutable: nodes and their inputs are stored as
     tuples (lists are accepted). The graph is validated, every weight
-    array checked for NaN and inf, and its shapes inferred once, on
-    first use, into ``plan``; a bad graph constructs and raises there."""
+    array and float field (a leakiness, an epsilon) checked for NaN and
+    inf, and its shapes inferred once, on first use, into ``plan``; a
+    bad graph constructs and raises there."""
     input_shape: tuple[int, ...]
     nodes: tuple[Node, ...]
     output: str
@@ -443,9 +444,10 @@ class Network:
         shapes: dict[str, tuple[int, ...]] = {INPUT_ID: self.input_shape}
         steps, slot = [], {INPUT_ID: 0}
         for i, node in enumerate(self.nodes, 1):
-            for f in fields(node.layer):
-                if isinstance(arr := getattr(node.layer, f.name), np.ndarray):
-                    check_finite(arr, f"node {node.id!r}: {f.name}")
+            for f in fields(node.layer):  # weight arrays and float scalars
+                v = getattr(node.layer, f.name)
+                if isinstance(v, (np.ndarray, float, np.floating)):
+                    check_finite(np.asarray(v), f"node {node.id!r}: {f.name}")
             ins = tuple(shapes[r] for r in node.inputs)
             shapes[node.id], slot[node.id] = node.layer.infer(node.id, ins), i
             steps.append((i, node.id, node.layer, tuple(slot[r] for r in node.inputs), ins))
@@ -607,12 +609,18 @@ def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray,
                            for start in range(0, len(g), BLOCK_WIDTH)])
 
 
-def _checked(a, shape: tuple[int, ...], what: str, of: str) -> np.ndarray:
-    """A caller's array as float64, checked once for its shape (that of
-    ``of``) and for NaN or inf; errors name it ``what``."""
+def _shaped(a, shape: tuple[int, ...], what: str, of: str) -> np.ndarray:
+    """A caller's array as float64, checked for its shape (that of ``of``);
+    an error names it ``what``."""
     a = as_f64(a)
     if a.shape != shape:
         raise ShapeMismatch(f"{what} shape {a.shape} does not match {of} {shape}")
+    return a
+
+
+def _checked(a, shape: tuple[int, ...], what: str, of: str) -> np.ndarray:
+    """``_shaped``, then the one check of the array for NaN or inf."""
+    a = _shaped(a, shape, what, of)
     check_finite(a, what)
     return a
 

@@ -21,7 +21,7 @@ from .network import (
     Flatten, GraphError, MaxPool, Network, Node, Recurrent, ShapeMismatch,
     shape_infer,
 )
-from .numerics import NonFiniteInput, check_finite
+from .numerics import NonFiniteInput
 
 MAGIC = b"TEN1"
 
@@ -158,9 +158,7 @@ def _value(kind, v, ctx: str, base: Path):
     if kind == "number":
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise NetworkSchemaError(f"{ctx}: expected a number, got {v!r}")
-        arr = _array(v, ctx, base, 0)
-        check_finite(arr, ctx)  # weight arrays are checked by Network.plan
-        return float(arr)
+        return float(_array(v, ctx, base, 0))  # Network.plan checks it is finite
     if kind == "int":
         if not _is_int(v):
             raise NetworkSchemaError(f"{ctx}: expected an integer, got {v!r}")
@@ -207,9 +205,9 @@ def parse_network(path) -> Network:
     """Load and validate a network description, resolving weight file
     references relative to the JSON's directory. All schema, graph, and
     shape problems surface as NetworkSchemaError naming the node and
-    field; a NaN or inf layer scalar raises NonFiniteInput, also naming
-    both, and so does a NaN or inf weight or batch-norm array, through
-    the plan that loading builds."""
+    field (a NaN dropout rate is out of range); a NaN or inf weight
+    array or layer scalar raises NonFiniteInput, also naming both,
+    through the plan that loading builds."""
     path = Path(path)
     try:
         text = path.read_text()

@@ -1,14 +1,17 @@
+import functools
 import io
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cpajvp import (BudgetExceeded, PassCounts, StrategyMismatch, fixtures,
-                    forward, jvp_input, record_states, reports_to_csv,
-                    run_benchmark, benchmark_forward, strategy_batch_jacobian,
-                    strategy_clone, strategy_double_vjp)
-from cpajvp.bench import CSV_HEADER, _run_strategy, _time_callable
+import nets
+from cpajvp import (BudgetExceeded, NonFiniteInput, PassCounts, StrategyMismatch,
+                    bench, fixtures, forward, jvp_input, network, record_states,
+                    reports_to_csv, run_benchmark, benchmark_forward,
+                    strategy_batch_jacobian, strategy_clone, strategy_double_vjp)
+from cpajvp.bench import CSV_HEADER, _STRATEGIES, _passes, _run_strategy, _time_callable
+from cpajvp.numerics import check_finite
 from nets import with_scaled_offsets
 
 
@@ -33,21 +36,62 @@ def test_strategies_agree_and_match_jvp():
         assert np.max(np.abs(fx - want_fx)) <= 1e-12 * (1.0 + np.max(np.abs(want_fx)))
 
 
-def test_pass_counts_per_strategy():
-    net, x, u = bench_instance("mlp", 3)
-    d_out = forward(net, x).size
+@pytest.fixture
+def pass_spy(monkeypatch):
+    """The passes bench hands to the engines, counted as PassCounts: a
+    recording or plain forward, a frozen (linear or batched) pass, a
+    transposed pass."""
+    seen = PassCounts()
 
-    counts = PassCounts()
-    strategy_batch_jacobian(net, x, u, counts)
-    assert (counts.forward, counts.frozen, counts.transposed) == (1, 0, d_out)
+    def counting(fn, kind):
+        def spy(*args, **kwargs):
+            setattr(seen, kind, getattr(seen, kind) + 1)
+            return fn(*args, **kwargs)
+        return spy
 
-    counts = PassCounts()
-    strategy_double_vjp(net, x, u, counts)
-    assert (counts.forward, counts.frozen, counts.transposed) == (1, 1, 1)
+    for name, kind in (("record_states", "forward"), ("forward", "forward"),
+                       ("_forward_pass", "frozen"), ("_transposed_pass", "transposed")):
+        monkeypatch.setattr(bench, name, counting(getattr(bench, name), kind))
+    return seen
 
-    counts = PassCounts()
-    strategy_clone(net, x, u, counts)
-    assert (counts.forward, counts.frozen, counts.transposed) == (0, 1, 0)
+
+def test_each_strategy_runs_its_pass_law(pass_spy):
+    # one call of each strategy makes the passes its report states, on the
+    # five families and on chain heads of k = 1 and 16 outputs
+    body = nets.dense_relu_chain(3, [6, 8, 8], leakiness=0.1)
+    x, u = np.linspace(-1.0, 1.0, 6), np.cos(np.arange(6.0))
+    cases = [bench_instance(arch, 3) for arch in fixtures.ARCHITECTURES]
+    cases += [(fixtures.with_dense_head(body, k, seed=4), x, u) for k in (1, 16)]
+    for net, x, u in cases:
+        calls = {name: functools.partial(_run_strategy, name, net, x, u)
+                 for name in _STRATEGIES}
+        calls["forward"] = functools.partial(bench.forward, net, x)
+        reports = run_benchmark(net, x, u, repetitions=10, warmup=0)
+        reports.append(benchmark_forward(net, x, repetitions=10, warmup=0))
+        assert [r.strategy for r in reports] == list(calls)
+        for r in reports:
+            pass_spy.forward = pass_spy.frozen = pass_spy.transposed = 0
+            calls[r.strategy]()
+            assert pass_spy == r.passes == _passes(r.strategy, net.plan.d_out), r.strategy
+
+
+def test_clone_scans_x_and_u_once(monkeypatch):
+    net, x, u = bench_instance("cnn", 3)
+    assert net.plan  # the plan, which checks the weights, is built first
+    scans = []
+
+    def spy(a, what):
+        scans.append(what)
+        return check_finite(a, what)
+
+    monkeypatch.setattr(bench, "check_finite", spy)
+    monkeypatch.setattr(network, "check_finite", spy)
+    strategy_clone(net, x, u)
+    assert len(scans) == 1
+    u.reshape(-1)[-1] = np.nan  # a failed scan alone looks at x and u apart
+    with pytest.raises(NonFiniteInput, match="^direction contains"):
+        strategy_clone(net, x, u)
+    assert len(scans) == 4
 
 
 def test_batch_jacobian_row_budget():
@@ -77,15 +121,13 @@ def test_run_benchmark_validates_arguments():
         run_benchmark(net, x, u, repetitions=5)
     with pytest.raises(ValueError, match="warmup"):
         run_benchmark(net, x, u, repetitions=10, warmup=-1)
-    with pytest.raises(ValueError, match="unknown strategy"):
-        _run_strategy("newton", net, x, u)
 
 
 def test_mismatching_strategy_aborts_run(monkeypatch):
     net, x, u = bench_instance("mlp", 4)
 
-    def skewed(net_, x_, u_, counts=None):
-        return strategy_double_vjp(net_, x_, u_, counts) + 1e-3
+    def skewed(net_, x_, u_):
+        return strategy_double_vjp(net_, x_, u_) + 1e-3
 
     monkeypatch.setattr("cpajvp.bench.strategy_double_vjp", skewed)
     with pytest.raises(StrategyMismatch, match="disagree"):

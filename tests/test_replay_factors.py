@@ -1,20 +1,21 @@
 """Each recorded nonlinearity replays as one multiply by its stored
 factor: bit for bit the masked formula it replaces, sign of zero
 included; the factors agree with the recorded masks; no pass writes
-into a caller's array or a weight; and in-memory weights are checked
-for NaN and inf once, when the plan is built."""
+into a caller's array or a weight; and in-memory weights and layer
+scalars are checked for NaN and inf once, when the plan is built."""
 import dataclasses
 
 import numpy as np
 import pytest
 
 import nets
-from cpajvp import (Activation, Dense, Dropout, Network, Node, NonFiniteInput, Recurrent,
-                    ShapeMismatch, fixtures, forward, frobenius_norm_mc, frozen_forward,
-                    frozen_vjp, jvp_input, jvp_weight, materialize_affine_direct,
-                    materialize_affine_via_rop, probe_from_network, record_states,
-                    region_equal, strategy_batch_jacobian, strategy_clone,
-                    strategy_double_vjp, top_k_eigen, top_k_svd, trace_mc, vjp_input)
+from cpajvp import (Activation, BatchNormInference, Dense, Dropout, Network, Node,
+                    NonFiniteInput, Recurrent, ShapeMismatch, fixtures, forward,
+                    frobenius_norm_mc, frozen_forward, frozen_vjp, jvp_input, jvp_weight,
+                    materialize_affine_direct, materialize_affine_via_rop,
+                    probe_from_network, record_states, region_equal,
+                    strategy_batch_jacobian, strategy_clone, strategy_double_vjp,
+                    top_k_eigen, top_k_svd, trace_mc, vjp_input)
 from cpajvp.network import _forward_pass, _transposed_pass
 
 LEAKS = (0.0, 0.1, 0.3, -1.0)
@@ -201,3 +202,24 @@ def test_a_non_finite_weight_in_memory_raises_naming_node_and_field():
     for call in calls:  # a failed plan is not cached, so each call checks
         with pytest.raises(NonFiniteInput, match="node 'head': weights"):
             call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_layer_scalar_in_memory_raises_naming_node_and_field(bad):
+    w = np.random.default_rng(13).standard_normal
+    ones, zeros = np.ones(4), np.zeros(4)
+    fc = Node("fc", Dense(w((4, 5)), zeros), ("input",))
+    cases = (
+        ("act", "leakiness", Network((5,), [fc, Node("act", Activation(bad), ("fc",))],
+                                     "act")),
+        ("bn", "epsilon", Network((5,), [fc, Node("bn", BatchNormInference(
+            ones, zeros, zeros, ones, epsilon=bad), ("fc",))], "bn")),
+        ("cell", "leakiness", Network((3, 5), [Node("cell", Recurrent(
+            w((4, 4)), w((4, 5)), zeros, bad, 3), ("input",))], "cell")),
+    )
+    for nid, field, net in cases:
+        x = w(net.input_shape)
+        for call in (lambda: forward(net, x), lambda: jvp_input(net, x, x),
+                     lambda: probe_from_network(net, x)):
+            with pytest.raises(NonFiniteInput, match=f"node '{nid}': {field}"):
+                call()
