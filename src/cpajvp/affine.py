@@ -190,40 +190,31 @@ def materialize_affine_direct(net: Network, x: np.ndarray,
     return AffineMap(a=a.copy(), b=b.copy())
 
 
-def narrow_side_slope(net: Network, state: FrozenState | None = None,
-                      lead: np.ndarray | None = None):
-    """The region's slope A (d_out, d_in) from the narrow side of the map,
-    and the outputs of the lead slices (None without lead).
+def narrow_side_slope(net: Network, state: FrozenState) -> np.ndarray:
+    """The slope A (d_out, d_in) of the region recorded in state, from the
+    narrow side of the map.
 
-    lead is a batch run first with every additive term; with state None
-    its slice 0 decides the region and is recorded. When d_out < d_in one
-    transposed pass over the rows of I_{d_out} on the state gives the
-    rows of A (reverse mode); if the output node is Dense, the pass starts
-    one step past it, on the rows of its weights W (what that step makes
-    of I_{d_out}), which saves d_out² · (W's d_in) multiply-adds. For
-    finite W the bits are the identity walk's, but that I W usually turns
-    a -0.0 of W into +0.0. A never shares memory with W. Otherwise the
-    rows of I_{d_in} ride behind lead in the same forward pass, linear,
-    and come out as the columns of A (forward mode). Either way the seed
-    holds at most min(d_in, d_out) rows, and A is never the difference
-    of two affine outputs.
+    When d_out < d_in one transposed pass over the rows of I_{d_out}
+    gives the rows of A (reverse mode); if the output node is Dense, the
+    pass starts one step past it, on the rows of its weights W (what
+    that step makes of I_{d_out}), which saves d_out² · (W's d_in)
+    multiply-adds. For finite W the bits are the identity walk's, but
+    that I W usually turns a -0.0 of W into +0.0. A never shares memory
+    with W. Otherwise one linear forward pass over the rows of I_{d_in}
+    gives the columns of A (forward mode). Either way the seed holds at
+    most min(d_in, d_out) rows, and A is never the difference of two
+    affine outputs.
     """
     plan = net.plan
     d_in, d_out = plan.d_in, plan.d_out
-    out = None
     if d_out < d_in:
-        if lead is not None:
-            out, state = _forward_pass(net, lead, len(lead), state)
         head = plan.by_id[net.output].layer
         dense = isinstance(head, Dense)
         seed = head.weights if dense else np.eye(d_out).reshape((d_out,) + plan.out_shape)
         rows = _transposed_pass(net, state, seed, past_head=dense).reshape(d_out, d_in)
-        return (rows.copy() if np.may_share_memory(rows, seed) else rows), out
-    batch, n = np.eye(d_in).reshape((d_in,) + net.input_shape), 0
-    if lead is not None:
-        batch, n = np.concatenate([lead, batch]), len(lead)
-    out, _ = _forward_pass(net, batch, n, state)
-    return np.ascontiguousarray(out[n:].reshape(d_in, d_out).T), out[:n] if n else None
+        return rows.copy() if np.may_share_memory(rows, seed) else rows
+    out, _ = _forward_pass(net, np.eye(d_in).reshape((d_in,) + net.input_shape), 0, state)
+    return np.ascontiguousarray(out.reshape(d_in, d_out).T)
 
 
 def materialize_affine_via_rop(net: Network, x: np.ndarray,
@@ -232,21 +223,29 @@ def materialize_affine_via_rop(net: Network, x: np.ndarray,
 
     One recording pass carries x as slice 0, which decides the region,
     and a zero input as slice 1; the additive terms reach these two
-    slices only, so slice 1 comes out as b. A comes from
-    ``narrow_side_slope`` on that pass: rows through one transposed pass
-    when d_out < d_in, which starts past a Dense output node on its
-    weights, otherwise columns carried by the recording pass itself.
+    slices only, so slice 1 comes out as b. When d_out < d_in A comes
+    from ``narrow_side_slope`` on that pass's state: rows through one
+    transposed pass, which starts past a Dense output node on its
+    weights. Otherwise the rows of I_{d_in} ride behind [x; 0] in the
+    recording pass, linear, and come out as the columns of A.
 
     The region is the one slice 0 of that batch decides: where a
     pre-activation at x is within rounding of 0 it can be the
     neighbouring region of the one ``record_states`` takes.
     """
     plan = net.plan
-    if plan.d_in * plan.d_out > budget:
-        raise BudgetExceeded(f"slope needs {plan.d_in * plan.d_out} entries, "
+    d_in, d_out = plan.d_in, plan.d_out
+    if d_in * d_out > budget:
+        raise BudgetExceeded(f"slope needs {d_in * d_out} entries, "
                              f"budget is {budget}")
-    pair = np.concatenate([_single(net, x), np.zeros((1,) + net.input_shape)])
-    a, out = narrow_side_slope(net, lead=pair)
+    x = _single(net, x)
+    if d_out < d_in:
+        out, state = _forward_pass(net, np.concatenate([x, np.zeros_like(x)]), 2)
+        a = narrow_side_slope(net, state)
+    else:
+        rows = np.eye(d_in + 1, d_in, -1).reshape((d_in + 1,) + net.input_shape)
+        out, _ = _forward_pass(net, np.concatenate([x, rows]), 2)
+        a = np.ascontiguousarray(out[2:].reshape(d_in, d_out).T)
     return AffineMap(a=a, b=out[1].reshape(-1).copy())
 
 

@@ -53,22 +53,28 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("jvp", help="Jacobian-vector product at x")
     common(sp)
-    sp.add_argument("--u", required=True, help="direction .ten path")
+    sp.set_defaults(run=_cmd_product, product=jvp_input)
+    sp.add_argument("--u", dest="operand", metavar="U", required=True,
+                    help="direction .ten path")
     sp.add_argument("--out", required=True, help="output .ten path")
 
     sp = sub.add_parser("vjp", help="vector-Jacobian product at x")
     common(sp)
-    sp.add_argument("--v", required=True, help="cotangent .ten path")
+    sp.set_defaults(run=_cmd_product, product=vjp_input)
+    sp.add_argument("--v", dest="operand", metavar="V", required=True,
+                    help="cotangent .ten path")
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("jvp-weight", help="weight-direction derivative")
     common(sp)
+    sp.set_defaults(run=_cmd_jvp_weight)
     sp.add_argument("--node", required=True, help="dense or conv2d node id")
     sp.add_argument("--direction", required=True, help="direction .ten path")
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("affine", help="materialize the region's slope and offset")
     common(sp)
+    sp.set_defaults(run=_cmd_affine)
     sp.add_argument("--out-slope", required=True)
     sp.add_argument("--out-bias", required=True)
     sp.add_argument("--method", choices=("direct", "rop"), default="direct",
@@ -78,9 +84,10 @@ def _build_parser() -> _Parser:
                          "columns by one forward pass otherwise")
     sp.add_argument("--budget", type=int, default=10 ** 6)
 
-    for name in ("eigen", "svd"):
+    for name, solver in (("eigen", top_k_eigen), ("svd", top_k_svd)):
         sp = sub.add_parser(name, help=f"top-k {name} via block iteration")
         common(sp)
+        sp.set_defaults(run=_cmd_spectral, solver=solver)
         sp.add_argument("--k", type=int, required=True)
         sp.add_argument("--tol", type=float, default=1e-8)
         sp.add_argument("--max-iter", type=int, default=500)
@@ -92,13 +99,15 @@ def _build_parser() -> _Parser:
             sp.add_argument("--out-left")
             sp.add_argument("--out-right")
 
-    for name in ("frobnorm", "trace"):
+    for name, estimator in (("frobnorm", frobenius_norm_mc), ("trace", trace_mc)):
         sp = sub.add_parser(name, help=f"Monte Carlo {name} estimate")
         common(sp)
+        sp.set_defaults(run=_cmd_estimate, estimator=estimator)
         sp.add_argument("--samples", type=int, required=True)
         sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("bench", help="time the product strategies")
+    sp.set_defaults(run=_cmd_bench)
     sp.add_argument("--net", required=True)
     sp.add_argument("--x", help="input .ten path (seeded random if omitted)")
     sp.add_argument("--u", help="direction .ten path (seeded random if omitted)")
@@ -112,6 +121,7 @@ def _build_parser() -> _Parser:
                     help="skip the forward-pass baseline rows")
 
     sp = sub.add_parser("gen", help="generate a seeded fixture network")
+    sp.set_defaults(run=_cmd_gen)
     sp.add_argument("--arch", required=True, choices=fixtures.ARCHITECTURES)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--scale", type=int, default=1)
@@ -120,16 +130,9 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _cmd_jvp(args) -> int:
+def _cmd_product(args) -> int:
     net = parse_network(args.net)
-    out = jvp_input(net, read_tensor(args.x), read_tensor(args.u))
-    write_tensor(args.out, out)
-    return 0
-
-
-def _cmd_vjp(args) -> int:
-    net = parse_network(args.net)
-    out = vjp_input(net, read_tensor(args.x), read_tensor(args.v))
+    out = args.product(net, read_tensor(args.x), read_tensor(args.operand))
     write_tensor(args.out, out)
     return 0
 
@@ -156,9 +159,8 @@ def _cmd_affine(args) -> int:
 def _cmd_spectral(args) -> int:
     net = parse_network(args.net)
     probe = probe_from_network(net, read_tensor(args.x))
-    solver = top_k_eigen if args.command == "eigen" else top_k_svd
-    res = solver(probe, args.k, tol=args.tol, max_iter=args.max_iter,
-                 seed=args.seed)
+    res = args.solver(probe, args.k, tol=args.tol, max_iter=args.max_iter,
+                      seed=args.seed)
     print("values:", " ".join(repr(float(v)) for v in res.values))
     print(f"iterations: {res.iterations} converged: {res.converged} "
           f"residual: {res.residual!r}")
@@ -176,8 +178,7 @@ def _cmd_spectral(args) -> int:
 def _cmd_estimate(args) -> int:
     net = parse_network(args.net)
     probe = probe_from_network(net, read_tensor(args.x))
-    estimator = frobenius_norm_mc if args.command == "frobnorm" else trace_mc
-    est, se = estimator(probe, args.samples, seed=args.seed)
+    est, se = args.estimator(probe, args.samples, seed=args.seed)
     print(f"estimate {est!r} stderr {se!r}")
     return 0
 
@@ -225,34 +226,15 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "jvp": _cmd_jvp,
-    "vjp": _cmd_vjp,
-    "jvp-weight": _cmd_jvp_weight,
-    "affine": _cmd_affine,
-    "eigen": _cmd_spectral,
-    "svd": _cmd_spectral,
-    "frobnorm": _cmd_estimate,
-    "trace": _cmd_estimate,
-    "bench": _cmd_bench,
-    "gen": _cmd_gen,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -245,6 +245,8 @@ class BatchNormInference(_Elementwise):
                 raise ShapeMismatch(
                     f"node {nid!r}: {name} {arr.shape} does not match "
                     f"feature axis of length {s[-1]}")
+        if not np.all(self.running_var + self.epsilon > 0):
+            raise GraphError(f"node {nid!r}: running_var + epsilon must be positive")
         return s
 
     def apply(self, nid, ins, n_aff, state, record):

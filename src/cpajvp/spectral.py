@@ -41,12 +41,15 @@ def _adjoint_check_pairs(dim_in: int, dim_out: int):
 def _check_adjoint(pairs, au: np.ndarray, atv: np.ndarray) -> None:
     """Raise AdjointMismatch unless <A u, v> == <u, A^T v> on each check
     pair to 1e-11 of the Cauchy-Schwarz scale ||A u|| ||v|| +
-    ||u|| ||A^T v||; au and atv are the products of the pairs' columns."""
+    ||u|| ||A^T v||, and that scale is finite; au and atv are the
+    products of the pairs' columns."""
     u, v, u_norm, v_norm = pairs
-    left, right = (au * v).sum(axis=0), (u * atv).sum(axis=0)
     # column norms as np.linalg.norm takes them, without its dispatch
     au_norm, atv_norm = np.sqrt((au * au).sum(axis=0)), np.sqrt((atv * atv).sum(axis=0))
     scale = au_norm * v_norm + u_norm * atv_norm
+    if not np.isfinite(scale).all():  # a NaN or inf gap compares false
+        raise AdjointMismatch(f"the check's scale is not finite: {scale!r}")
+    left, right = (au * v).sum(axis=0), (u * atv).sum(axis=0)
     bad = np.abs(left - right) > 1e-11 * scale
     if bad.any():
         i = int(np.argmax(bad))
@@ -66,8 +69,9 @@ class LinearProbe:
     each other; construction spot checks <A u, v> == <u, A^T v> on
     three seeded random pairs and raises AdjointMismatch when the gap
     exceeds 1e-11 of the Cauchy-Schwarz scale ||A u|| ||v|| +
-    ||u|| ||A^T v||. The pairs depend only on (dim_in, dim_out) and are
-    drawn once per dims, then cached read-only.
+    ||u|| ||A^T v||, or that scale is NaN or inf. The pairs depend only
+    on (dim_in, dim_out) and are drawn once per dims, then cached
+    read-only.
     """
 
     def __init__(self, dim_in: int, dim_out: int,
@@ -180,7 +184,7 @@ def probe_from_network(net: Network, x: np.ndarray,
         check_finite(u, "input")
         if u.ndim == 2 and u.shape[1] > wide:
             if not kept:
-                kept.append(read_only(narrow_side_slope(net, state)[0])[0])
+                kept.append(read_only(narrow_side_slope(net, state))[0])
             return kept[0] @ u
         out, _ = _forward_pass(net, _as_batch(u, in_shape), 0, state)
         return _as_columns(out, u)

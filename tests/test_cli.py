@@ -224,10 +224,12 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
-def test_help_exits_0(capsys):
-    assert main(["--help"]) == 0
-    assert main(["jvp", "--help"]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("command", [
+    "", "jvp", "vjp", "jvp-weight", "affine", "eigen", "svd", "frobnorm", "trace",
+    "bench", "gen"], ids=lambda command: command or "cpajvp")
+def test_help_exits_0(command, capsys):
+    assert main(command.split() + ["--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: cpajvp {command}".rstrip())
 
 
 def test_data_errors_exit_2(tmp_path, netdir, capsys):

@@ -2,8 +2,10 @@
 factor: bit for bit the masked formula it replaces, sign of zero
 included; the factors agree with the recorded masks; no pass writes
 into a caller's array or a weight; and in-memory weights and layer
-scalars are checked for NaN and inf once, when the plan is built."""
+scalars are checked for NaN and inf once, when the plan is built, as
+is a batch norm's running_var + epsilon for a positive root."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from cpajvp import (Activation, BatchNormInference, Dense, Dropout, Network, Nod
                     probe_from_network, record_states, region_equal,
                     strategy_batch_jacobian, strategy_clone, strategy_double_vjp,
                     top_k_eigen, top_k_svd, trace_mc, vjp_input)
+from cpajvp import GraphError, NetworkSchemaError, parse_network, write_tensor
+from cpajvp.cli import main
 from cpajvp.network import _forward_pass, _transposed_pass
 
 LEAKS = (0.0, 0.1, 0.3, -1.0)
@@ -223,3 +227,31 @@ def test_a_non_finite_layer_scalar_in_memory_raises_naming_node_and_field(bad):
                      lambda: probe_from_network(net, x)):
             with pytest.raises(NonFiniteInput, match=f"node '{nid}': {field}"):
                 call()
+
+
+@pytest.mark.parametrize("var,epsilon", [(-1.0, 1e-5), (0.0, 0.0), (-1e-5, 1e-5)])
+def test_a_batch_norm_variance_that_is_not_positive_raises(var, epsilon, tmp_path, capsys):
+    # running_var + epsilon <= 0 would take the root of a non-positive
+    # number on every pass; the plan refuses it, naming the node
+    layer = {"gamma": [1.0, 1.0], "beta": [0.0, 0.0], "running_mean": [0.0, 0.0],
+             "running_var": [var, 1.0], "epsilon": epsilon}
+    bn = BatchNormInference(**{k: np.array(v) for k, v in layer.items()})
+    net = Network((2,), [Node("bn", bn, ("input",))], "bn")
+    x = np.array([1.0, 2.0])
+    for call in (lambda: forward(net, x), lambda: jvp_input(net, x, x),
+                 lambda: probe_from_network(net, x)):
+        with pytest.raises(GraphError, match="node 'bn': running_var"):
+            call()
+    nan_var = dataclasses.replace(bn, running_var=np.array([np.nan, 1.0]))
+    with pytest.raises(NonFiniteInput, match="node 'bn': running_var"):  # scanned first
+        forward(Network((2,), [Node("bn", nan_var, ("input",))], "bn"), x)
+    doc = {"input_shape": [2], "output": "bn", "nodes": [
+        {"id": "bn", "inputs": ["input"], "layer": {"type": "batchnorm_inf", **layer}}]}
+    (tmp_path / "net.json").write_text(json.dumps(doc))
+    with pytest.raises(NetworkSchemaError, match="node 'bn': running_var"):
+        parse_network(tmp_path / "net.json")
+    write_tensor(tmp_path / "x.ten", x)
+    assert main(["jvp", "--net", str(tmp_path / "net.json"), "--x", str(tmp_path / "x.ten"),
+                 "--u", str(tmp_path / "x.ten"), "--out", str(tmp_path / "o.ten")]) == 2
+    assert "node 'bn': running_var" in capsys.readouterr().err
+    assert not (tmp_path / "o.ten").exists()

@@ -66,6 +66,15 @@ def test_probe_detects_broken_adjoint():
     assert p.rop_calls == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_self_check_rejects_non_finite_products(bad):
+    # a NaN gap compares false against any bound, and so does inf > inf
+    with pytest.raises(AdjointMismatch, match="not finite"):
+        LinearProbe(3, 3, rop=lambda u: u * bad, lop=lambda v: v)
+    with pytest.raises(AdjointMismatch, match="not finite"):
+        LinearProbe(3, 3, rop=lambda u: u, lop=lambda v: v * bad)
+
+
 def test_cached_self_check_still_detects_a_broken_adjoint():
     # the second construction at the same dims reads the cached pairs
     m = np.random.default_rng(1).standard_normal((3, 5))
