@@ -19,15 +19,11 @@ timing and refuses to produce numbers when they disagree.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from statistics import mean, median, pstdev, quantiles
 
 import numpy as np
@@ -141,56 +137,27 @@ def _run_strategy(name: str, net: Network, x, u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # harness
 
-@functools.cache
-def _openblas():
-    """(get, set) of the thread count of the OpenBLAS that numpy ships in
-    numpy.libs, or None where there is none."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libdir.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                     "openblas_{}_num_threads"):
-            if hasattr(handle, name.format("set")):
-                get, put = (getattr(handle, name.format(op)) for op in ("get", "set"))
-                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread, then restore its count. Two
-    BLAS threads on a busy core have slow phases that outlast a timing
-    block; without an OpenBLAS found, the default count stays."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def _time_callable(fn, repetitions: int, warmup: int) -> dict[str, float]:
-    """Per-call wall times after warmup, at one BLAS thread where numpy's
-    OpenBLAS is found: median, mean, std, min and IQR.
+    """Per-call wall times after warmup: median, mean, std, min and IQR.
+    Calls run at the process's BLAS thread count; the README says how to
+    pin it to one thread.
     As with ``timeit.Timer.autorange``, a repetition times a loop of n calls
     and counts loop time / n; n is picked once, from the fastest warmup
     call, as the least count whose loop takes 2 ms (1 without warmup)."""
+    if repetitions < 10:
+        raise ValueError(f"need at least 10 repetitions, got {repetitions}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+
     def timed(n):
         t0 = time.perf_counter()
         for _ in range(n):
             fn()
         return (time.perf_counter() - t0) / n
 
-    with _one_blas_thread():
-        fastest = min((timed(1) for _ in range(warmup)), default=math.inf)
-        n = math.ceil(2e-3 / fastest) if 0.0 < fastest < 2e-3 else 1
-        times = [timed(n) for _ in range(repetitions)]
+    fastest = min((timed(1) for _ in range(warmup)), default=math.inf)
+    n = math.ceil(2e-3 / fastest) if 0.0 < fastest < 2e-3 else 1
+    times = [timed(n) for _ in range(repetitions)]
     q1, _, q3 = quantiles(times, n=4)
     return {"median_s": median(times), "mean_s": mean(times),
             "std_s": pstdev(times), "min_s": min(times), "iqr_s": q3 - q1}
@@ -205,10 +172,6 @@ def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
     nothing is timed. Wall time per call is measured with a monotonic
     clock, in loops of calls, after warmup discard runs.
     """
-    if repetitions < 10:
-        raise ValueError(f"need at least 10 repetitions, got {repetitions}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
     plan = net.plan
     results = {name: _run_strategy(name, net, x, u) for name in _STRATEGIES}
     for first, second in itertools.combinations(results, 2):

@@ -26,8 +26,7 @@ from .tenio import NetworkSchemaError, TensorFormatError, parse_network, \
 
 _DATA_ERRORS = (TensorFormatError, NetworkSchemaError, ShapeMismatch,
                 GraphError, BudgetExceeded, bench_mod.StrategyMismatch,
-                AdjointMismatch, FileNotFoundError, IsADirectoryError,
-                PermissionError, ValueError)
+                AdjointMismatch, OSError, ValueError)
 
 
 class _UsageError(Exception):
@@ -207,9 +206,6 @@ def _cmd_bench(args) -> int:
             reports.append(bench_mod.benchmark_forward(net, x,
                                                        repetitions=args.reps,
                                                        warmup=args.warmup))
-    print("cpajvp bench: timed at " + ("1 BLAS thread" if bench_mod._openblas() else
-                                       "the default BLAS thread count (no OpenBLAS found)"),
-          file=sys.stderr)
     if args.csv:
         bench_mod.reports_to_csv(reports, args.csv)
     else:

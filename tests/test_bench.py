@@ -121,6 +121,10 @@ def test_run_benchmark_validates_arguments():
         run_benchmark(net, x, u, repetitions=5)
     with pytest.raises(ValueError, match="warmup"):
         run_benchmark(net, x, u, repetitions=10, warmup=-1)
+    with pytest.raises(ValueError, match="repetitions"):
+        benchmark_forward(net, x, repetitions=5)
+    with pytest.raises(ValueError, match="warmup"):
+        benchmark_forward(net, x, repetitions=10, warmup=-3)
 
 
 def test_mismatching_strategy_aborts_run(monkeypatch):

@@ -183,12 +183,13 @@ def test_frobnorm_and_trace(tmp_path, netdir, capsys):
 # ---------------------------------------------------------------------------
 # bench
 
-def test_bench_csv_and_k_sweep(netdir, tmp_path):
+def test_bench_csv_and_k_sweep(netdir, tmp_path, capsys):
     csv_path = tmp_path / "bench.csv"
     code = run(["bench", "--net", netdir / "net.json", "--reps", "10",
                 "--warmup", "1", "--seed", "0", "--k-sweep", "1,3",
                 "--csv", csv_path])
     assert code == 0
+    assert capsys.readouterr().err == ""
     lines = csv_path.read_bytes().decode().split("\r\n")
     assert lines[0] == ("strategy,d_in,d_out,reps,median_s,mean_s,std_s,"
                         "passes_forward,passes_frozen,passes_transposed")
@@ -242,6 +243,13 @@ def test_data_errors_exit_2(tmp_path, netdir, capsys):
                 "--u", bad, "--out", tmp_path / "o.ten"]) == 2
     err = capsys.readouterr().err
     assert "magic" in err
+    # a path through a regular file, and a regular file as the output directory
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run(["jvp", "--net", netdir / "net.json", "--x", afile / "x.ten",
+                "--u", netdir / "x.ten", "--out", tmp_path / "o.ten"]) == 2
+    assert run(["gen", "--arch", "mlp", "--seed", "0", "--out", afile]) == 2
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 def test_non_finite_data_exits_2(tmp_path, netdir, capsys):
