@@ -117,21 +117,14 @@ def strategy_clone(net: Network, x: np.ndarray,
     return out[1], out[0]
 
 
-_STRATEGIES = ("batch-jacobian", "double-vjp", "clone")
-
-
-def _passes(name: str, d_out: int) -> PassCounts:
-    """A strategy's passes per call: recordings, frozen and transposed."""
-    return {"batch-jacobian": PassCounts(1, 0, d_out), "double-vjp": PassCounts(1, 1, 1),
-            "clone": PassCounts(0, 1, 0), "forward": PassCounts(1, 0, 0)}[name]
-
-
-def _run_strategy(name: str, net: Network, x, u) -> np.ndarray:
-    if name == "batch-jacobian":
-        return strategy_batch_jacobian(net, x, u)
-    if name == "double-vjp":
-        return strategy_double_vjp(net, x, u)
-    return strategy_clone(net, x, u)[0]
+# Each strategy's J u and its passes per call (recordings, frozen and
+# transposed) as a function of d_out. A J u entry looks its strategy up
+# when called, so a patched module attribute takes effect.
+_STRATEGIES = {
+    "batch-jacobian": (lambda *a: strategy_batch_jacobian(*a), lambda d: PassCounts(1, 0, d)),
+    "double-vjp": (lambda *a: strategy_double_vjp(*a), lambda d: PassCounts(1, 1, 1)),
+    "clone": (lambda *a: strategy_clone(*a)[0], lambda d: PassCounts(0, 1, 0)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +166,7 @@ def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
     clock, in loops of calls, after warmup discard runs.
     """
     plan = net.plan
-    results = {name: _run_strategy(name, net, x, u) for name in _STRATEGIES}
+    results = {name: run(net, x, u) for name, (run, _) in _STRATEGIES.items()}
     for first, second in itertools.combinations(results, 2):
         a, b = results[first], results[second]
         scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
@@ -183,10 +176,9 @@ def run_benchmark(net: Network, x: np.ndarray, u: np.ndarray,
                 f"{first} and {second} disagree (relative error "
                 f"{err:.3e}); not timing a wrong answer")
     return [BenchReport(strategy=name, d_in=plan.d_in, d_out=plan.d_out,
-                        repetitions=repetitions, passes=_passes(name, plan.d_out),
-                        **_time_callable(lambda n=name: _run_strategy(n, net, x, u),
-                                         repetitions, warmup))
-            for name in _STRATEGIES]
+                        repetitions=repetitions, passes=law(plan.d_out),
+                        **_time_callable(lambda run=run: run(net, x, u), repetitions, warmup))
+            for name, (run, law) in _STRATEGIES.items()]
 
 
 def benchmark_forward(net: Network, x: np.ndarray, repetitions: int = 100,
@@ -194,8 +186,7 @@ def benchmark_forward(net: Network, x: np.ndarray, repetitions: int = 100,
     """Baseline timing of the plain forward pass, for slowdown ratios."""
     stats = _time_callable(lambda: forward(net, x), repetitions, warmup)
     return BenchReport(strategy="forward", d_in=net.plan.d_in, d_out=net.plan.d_out,
-                       repetitions=repetitions, passes=_passes("forward", net.plan.d_out),
-                       **stats)
+                       repetitions=repetitions, passes=PassCounts(1, 0, 0), **stats)
 
 
 CSV_HEADER = ["strategy", "d_in", "d_out", "reps", "median_s", "mean_s",

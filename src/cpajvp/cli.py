@@ -15,18 +15,14 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import fixtures
-from .affine import BudgetExceeded, materialize_affine_direct, \
-    materialize_affine_via_rop
+from .affine import materialize_affine_direct, materialize_affine_via_rop
 from .clone import jvp_input, jvp_weight, vjp_input
-from .network import GraphError, ShapeMismatch
 from .spectral import AdjointMismatch, frobenius_norm_mc, probe_from_network, \
     top_k_eigen, top_k_svd, trace_mc
-from .tenio import NetworkSchemaError, TensorFormatError, parse_network, \
-    read_tensor, save_network, write_tensor
+from .tenio import parse_network, read_tensor, save_network, write_tensor
 
-_DATA_ERRORS = (TensorFormatError, NetworkSchemaError, ShapeMismatch,
-                GraphError, BudgetExceeded, bench_mod.StrategyMismatch,
-                AdjointMismatch, OSError, ValueError)
+# the library's data errors are ValueErrors, but for these two RuntimeErrors
+_DATA_ERRORS = (ValueError, OSError, bench_mod.StrategyMismatch, AdjointMismatch)
 
 
 class _UsageError(Exception):

@@ -22,7 +22,7 @@ from .network import (
 
 
 def _check_state(net: Network, state: FrozenState) -> None:
-    """The one check of a caller's state: see ``frozen_forward``."""
+    """The one check of a caller's state (weight arrays may differ): see ``frozen_forward``."""
     plan, rec = net.plan, state.plan
     if rec is plan:
         return
@@ -36,6 +36,14 @@ def _check_state(net: Network, state: FrozenState) -> None:
     if shapes := [i for i in plan.by_id if rec.shapes[i] != plan.shapes[i]]:
         raise ShapeMismatch(f"state was recorded on other shapes at nodes {shapes[:3]}")
 
+    def params(layer):  # the non-array fields by value; a list equals its tuple
+        return [tuple(v) if isinstance(v, list) else v for v in vars(layer).values()
+                if not isinstance(v, np.ndarray)]
+    if other := [i for i, n in plan.by_id.items()
+                 if params(n.layer) != params(rec.by_id[i].layer)]:
+        raise GraphError(f"frozen state does not belong to this network (other "
+                         f"parameters at nodes {other[:3]})")
+
 
 def frozen_forward(net: Network, state: FrozenState, v: np.ndarray,
                    mode: str = "affine") -> np.ndarray:
@@ -45,8 +53,8 @@ def frozen_forward(net: Network, state: FrozenState, v: np.ndarray,
     leaves every additive term out and evaluates A v. At v = state.input
     in affine mode this reproduces the recorded forward bitwise.
     The state may come from any network with the same node ids and, per
-    node, the same layer kind and shape, such as a copy with other weights;
-    else GraphError or ShapeMismatch. v is checked as "input".
+    node, the same layer kind, shape and non-array fields: weight arrays
+    may differ; else GraphError or ShapeMismatch. v is checked as "input".
     """
     if mode not in ("affine", "linear"):
         raise ValueError(f"mode must be 'affine' or 'linear', got {mode!r}")

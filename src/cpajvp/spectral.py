@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .affine import narrow_side_slope
-from .network import (BLOCK_WIDTH, Network, ShapeMismatch, _forward_pass,
+from .network import (_F64, BLOCK_WIDTH, Network, ShapeMismatch, _forward_pass,
                       _single, _transposed_pass)
 from .numerics import check_finite, keyed_rng, qr_householder, read_only
 
@@ -96,6 +96,8 @@ class LinearProbe:
             self.lop_calls = 0
 
     def _product(self, fn, a, n_in: int, n_out: int, name: str) -> tuple[np.ndarray, int]:
+        if getattr(a, "dtype", None) is not _F64 and np.iscomplexobj(a):
+            raise ValueError(f"{name} input is complex; only real arrays are accepted")
         a = np.asarray(a, dtype=np.float64)
         if a.ndim not in (1, 2) or a.shape[0] != n_in or a.ndim == 2 and a.shape[1] < 1:
             raise ShapeMismatch(f"{name} takes a length-{n_in} vector or an "
@@ -407,22 +409,31 @@ def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
                           residuals=tuple(residuals))
 
 
+def _mc_estimate(probe: LinearProbe, n_samples: int, draw, form) -> tuple[float, float]:
+    """Mean and stderr, by np.mean's formulas, of n_samples samples form(u, A u)
+    from blocks u = draw(k) of k <= BLOCK_WIDTH directions as rows."""
+    if n_samples < 2:
+        raise ValueError(f"need at least 2 samples, got {n_samples}")
+    samples = np.empty(n_samples)
+    for start in range(0, n_samples, BLOCK_WIDTH):
+        k = min(BLOCK_WIDTH, n_samples - start)
+        u = draw(k)
+        samples[start:start + k] = form(u, probe.rop(u.T))
+    mean = float(samples.sum() / n_samples)
+    se_mean = float(np.sqrt(np.sum((samples - mean) ** 2)
+                            / (n_samples * (n_samples - 1))))
+    return mean, se_mean
+
+
 def frobenius_norm_mc(probe: LinearProbe, n_samples: int,
                       seed: int = 0) -> tuple[float, float]:
     """Monte Carlo Frobenius norm: E ||A u||^2 = ||A||_F^2 for standard
     Gaussian u. Returns (estimate, stderr), the stderr mapped through
     the square root by the delta method."""
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
     rng = keyed_rng("frobenius-mc", seed)
-    samples = np.empty(n_samples)
-    for start in range(0, n_samples, BLOCK_WIDTH):
-        k = min(BLOCK_WIDTH, n_samples - start)
-        out = probe.rop(rng.standard_normal((k, probe.dim_in)).T)
-        samples[start:start + k] = np.einsum("ij,ij->j", out, out)
-    mean = float(samples.sum() / n_samples)  # np.mean's own formula
-    se_mean = float(np.sqrt(np.sum((samples - mean) ** 2)
-                            / (n_samples * (n_samples - 1))))
+    mean, se_mean = _mc_estimate(probe, n_samples,
+                                 lambda k: rng.standard_normal((k, probe.dim_in)),
+                                 lambda u, au: np.einsum("ij,ij->j", au, au))
     if mean <= 0.0:
         return 0.0, 0.0
     est = float(np.sqrt(mean))
@@ -437,17 +448,7 @@ def trace_mc(probe: LinearProbe, n_samples: int,
     if probe.dim_in != probe.dim_out:
         raise ShapeMismatch(f"trace needs a square map, got "
                             f"({probe.dim_out}, {probe.dim_in})")
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
     rng = keyed_rng("trace-mc", seed)
-    samples = np.empty(n_samples)
-    for start in range(0, n_samples, BLOCK_WIDTH):
-        k = min(BLOCK_WIDTH, n_samples - start)
-        u = rng.integers(0, 2, (k, probe.dim_in)).astype(np.float64)
-        u *= 2.0
-        u -= 1.0
-        samples[start:start + k] = np.einsum("ij,ji->i", u, probe.rop(u.T))
-    mean = float(samples.sum() / n_samples)  # np.mean's own formula
-    se_mean = float(np.sqrt(np.sum((samples - mean) ** 2)
-                            / (n_samples * (n_samples - 1))))
-    return mean, se_mean
+    return _mc_estimate(probe, n_samples,
+                        lambda k: 2.0 * rng.integers(0, 2, (k, probe.dim_in)) - 1.0,
+                        lambda u, au: np.einsum("ij,ji->i", u, au))

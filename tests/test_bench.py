@@ -10,7 +10,7 @@ from cpajvp import (BudgetExceeded, NonFiniteInput, PassCounts, StrategyMismatch
                     bench, fixtures, forward, jvp_input, network, record_states,
                     reports_to_csv, run_benchmark, benchmark_forward,
                     strategy_batch_jacobian, strategy_clone, strategy_double_vjp)
-from cpajvp.bench import CSV_HEADER, _STRATEGIES, _passes, _run_strategy, _time_callable
+from cpajvp.bench import CSV_HEADER, _STRATEGIES, _time_callable
 from cpajvp.numerics import check_finite
 from nets import with_scaled_offsets
 
@@ -63,16 +63,18 @@ def test_each_strategy_runs_its_pass_law(pass_spy):
     cases = [bench_instance(arch, 3) for arch in fixtures.ARCHITECTURES]
     cases += [(fixtures.with_dense_head(body, k, seed=4), x, u) for k in (1, 16)]
     for net, x, u in cases:
-        calls = {name: functools.partial(_run_strategy, name, net, x, u)
-                 for name in _STRATEGIES}
+        calls = {name: functools.partial(run, net, x, u)
+                 for name, (run, _) in _STRATEGIES.items()}
         calls["forward"] = functools.partial(bench.forward, net, x)
+        laws = {name: law(net.plan.d_out) for name, (_, law) in _STRATEGIES.items()}
+        laws["forward"] = PassCounts(1, 0, 0)
         reports = run_benchmark(net, x, u, repetitions=10, warmup=0)
         reports.append(benchmark_forward(net, x, repetitions=10, warmup=0))
         assert [r.strategy for r in reports] == list(calls)
         for r in reports:
             pass_spy.forward = pass_spy.frozen = pass_spy.transposed = 0
             calls[r.strategy]()
-            assert pass_spy == r.passes == _passes(r.strategy, net.plan.d_out), r.strategy
+            assert pass_spy == r.passes == laws[r.strategy], r.strategy
 
 
 def test_clone_scans_x_and_u_once(monkeypatch):

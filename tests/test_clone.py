@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -156,6 +157,38 @@ def test_a_state_of_another_layer_kind_does_not_belong():
              for n in net.nodes]
     with pytest.raises(GraphError, match="does not belong.*act1"):
         frozen_forward(Network(net.input_shape, kinds, net.output), state, np.ones(4))
+
+
+def with_layer(net, node_id, **changes):
+    """Copy of net with fields of one node's layer replaced."""
+    return Network(net.input_shape, [
+        Node(n.id, dataclasses.replace(n.layer, **changes) if n.id == node_id else n.layer,
+             n.inputs) for n in net.nodes], net.output)
+
+
+@pytest.mark.parametrize("net,node,changes", [
+    (nets.dense_relu_chain(0, [4, 6, 3], leakiness=0.1), "act1", {"leakiness": 0.3}),
+    (nets.tiny_rnn(0, d_in=4), "rec", {"leakiness": 0.3}),
+    (with_layer(training_dropout_net(4), "drop", training=False), "drop",
+     {"training": True})])
+def test_a_state_of_other_layer_parameters_does_not_belong(net, node, changes):
+    # the recorded factors q carry the recording network's leakiness and
+    # dropout mode, so a replay on another would mix the two networks
+    x = np.linspace(-1.0, 1.0, math.prod(net.input_shape)).reshape(net.input_shape)
+    _, state = record_states(net, x)
+    other = with_layer(net, node, **changes)
+    with pytest.raises(GraphError, match=f"does not belong.*{node}"):
+        frozen_forward(other, state, x, mode="linear")
+    with pytest.raises(GraphError, match=f"does not belong.*{node}"):
+        frozen_vjp(other, state, np.ones(forward(other, x).shape))
+
+
+def test_a_list_field_replays_as_its_tuple():
+    net = pooled_sum_net(2)
+    x = np.linspace(-1.0, 1.0, 4).reshape(net.input_shape)
+    _, state = record_states(net, x)
+    listed = with_layer(with_layer(net, "pool", ksize=[2, 2]), "c2", stride=[1, 1])
+    assert np.array_equal(frozen_forward(listed, state, x), forward(net, x))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +371,24 @@ def test_non_finite_inputs_raise():
             block[-1, 2] = bad
             with pytest.raises(NonFiniteInput, match="^cotangent contains"):
                 p.lop(block)
+
+
+def test_complex_arrays_are_refused_not_cut_to_their_real_part():
+    net, x = fixtures.generate("cnn", 1)
+    fx = forward(net, x)
+    _, state = record_states(net, x)
+    w = next(n for n in net.nodes if hasattr(n.layer, "filters"))
+    for label, call in (
+            ("input", lambda: forward(net, x + 1j)),
+            ("input", lambda: record_states(net, (x + 0j).tolist())),
+            ("direction", lambda: jvp_input(net, x, x + 1j)),
+            ("direction", lambda: strategy_clone(net, x, x + 1j)),
+            ("cotangent", lambda: vjp_input(net, x, fx.astype(np.complex64))),
+            ("input", lambda: frozen_forward(net, state, x + 1j, mode="linear")),
+            ("cotangent", lambda: frozen_vjp(net, state, fx + 1j)),
+            ("direction", lambda: jvp_weight(net, x, w.id, w.layer.filters + 1j))):
+        with pytest.raises(ValueError, match=f"^{label} is complex"):
+            call()
 
 
 def test_non_finite_weight_direction_raises():

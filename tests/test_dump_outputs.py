@@ -22,7 +22,9 @@ def test_a_tree_dumps_the_same_bytes_twice_and_any_change_is_reported(tmp_path):
     with np.load(a / name) as d:
         arrays = dict(d)
     assert {"forward", "jvp", "vjp", "clone.0", "jvp_weight", "affine_rop.a",
-            "mc-frob.0.0", "svd.0.values", "record.output"} <= set(arrays)
+            "mc-frob.0.0", "svd.0.values", "record.output", "replay_doubled.linear",
+            "replay_doubled.vjp", "replay_leakier"} <= set(arrays)
+    assert str(arrays["replay_leakier"]).startswith("GraphError: frozen state does not belong")
     zeros = arrays["vjp"] * 0.0
     np.savez(a / name, **dict(arrays, vjp=-zeros))  # zeros that differ in sign only
     jvp = arrays["jvp"].copy()

@@ -150,6 +150,16 @@ def test_probe_block_counts_columns_and_rejects_bad_blocks():
         p.rop(np.ones((5, 2, 1)))
 
 
+def test_probe_refuses_complex_operands():
+    net, x = fixtures.generate("mlp", 0)
+    for p in (matrix_probe(np.eye(3)), probe_from_network(net, x)):
+        with pytest.raises(ValueError, match="^rop input is complex"):
+            p.rop(np.ones(p.dim_in) + 1j)
+        with pytest.raises(ValueError, match="^lop input is complex"):
+            p.lop(np.ones((p.dim_out, 2), dtype=np.complex64))
+        assert p.rop_calls == p.lop_calls == 0
+
+
 def test_probe_calls_vector_callables_once_per_column():
     # an elementwise callable written for vectors would broadcast along
     # the wrong axis on a square block; without blocks it sees columns

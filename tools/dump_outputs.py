@@ -6,8 +6,11 @@
 ``--out`` imports the library from ``CHECKOUT/src`` (default: this
 checkout) and the benchmark's networks, draws and calls from
 ``CHECKOUT/perfbench/workloads.py``, which it only reads. It runs every
-op kind of the benchmark, plus the recorded decisions and the two other
-product strategies, on the five fixture families at seeds 0-3 and
+op kind of the benchmark, plus the recorded decisions, the two other
+product strategies and the replay of a recorded state on two copies of
+the network (``replay_doubled``: Dense and Conv2D weights doubled;
+``replay_leakier``: every activation's leakiness raised by 0.25, which
+the library refuses), on the five fixture families at seeds 0-3 and
 scales 1-2 and on every benchmark network, each at inputs drawn from a
 generator keyed by the network's and the kind's names. Each network's
 outputs go to one ``.npz`` file, one array per output field; a call
@@ -37,7 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_SEEDS = range(4)
 FIXTURE_SCALES = (1, 2)
 FIXTURE_MC_SAMPLES = 200
-EXTRA_KINDS = ("record", "double_vjp", "batch_jacobian")
+EXTRA_KINDS = ("record", "double_vjp", "batch_jacobian", "replay_doubled", "replay_leakier")
 
 
 def load_workloads(tree: Path):
@@ -75,6 +78,21 @@ def rng_for(*names) -> np.random.Generator:
     return np.random.default_rng(zlib.crc32("/".join(names).encode()))
 
 
+def replay_copy(net, kind: str):
+    """The copy of net that a replay kind replays a state of net on."""
+    import cpajvp
+    nodes = []
+    for n in net.nodes:
+        lay = n.layer
+        if kind == "replay_doubled" and isinstance(lay, (cpajvp.Dense, cpajvp.Conv2D)):
+            w = lay.weight_field
+            lay = dataclasses.replace(lay, **{w: 2.0 * getattr(lay, w)})
+        elif kind == "replay_leakier" and isinstance(lay, cpajvp.Activation):
+            lay = dataclasses.replace(lay, leakiness=lay.leakiness + 0.25)
+        nodes.append(cpajvp.Node(n.id, lay, n.inputs))
+    return cpajvp.Network(net.input_shape, nodes, net.output)
+
+
 def outputs(wl, name: str, net, kinds, mc_samples: int) -> dict:
     """Every output of the given kinds on one network, as flat arrays.
     ``kinds`` holds (kind, estimator) pairs; the estimator names mc's."""
@@ -82,7 +100,8 @@ def outputs(wl, name: str, net, kinds, mc_samples: int) -> dict:
     out = {}
     for kind, est in kinds:
         label = kind if est is None else f"{kind}-{est}"
-        inp = wl.draw(rng_for(name, label), "jvp" if kind in EXTRA_KINDS else kind, net)
+        rng = rng_for(name, label)
+        inp = wl.draw(rng, "jvp" if kind in EXTRA_KINDS else kind, net)
         try:
             if kind == "record":
                 y, state = cpajvp.record_states(net, inp["x"])
@@ -93,6 +112,12 @@ def outputs(wl, name: str, net, kinds, mc_samples: int) -> dict:
                 value = cpajvp.strategy_double_vjp(net, inp["x"], inp["u"])
             elif kind == "batch_jacobian":
                 value = cpajvp.strategy_batch_jacobian(net, inp["x"], inp["u"])
+            elif kind.startswith("replay_"):
+                copy, (_, state) = replay_copy(net, kind), cpajvp.record_states(net, inp["x"])
+                v = rng.standard_normal(wl.output_shape(net))
+                value = {"affine": cpajvp.frozen_forward(copy, state, inp["u"]),
+                         "linear": cpajvp.frozen_forward(copy, state, inp["u"], "linear"),
+                         "vjp": cpajvp.frozen_vjp(copy, state, v)}
             else:
                 value = wl.call(kind, net, est, inp, mc_samples, 0)
         except (ValueError, RuntimeError) as exc:  # the library's errors
