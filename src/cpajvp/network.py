@@ -35,7 +35,6 @@ from .numerics import ShapeMismatch, as_f64, check_finite, keyed_rng, read_only
 INPUT_ID = "input"
 
 _where = getattr(np.where, "_implementation", np.where)  # np.where without the dispatch
-_F64 = np.dtype(np.float64)
 
 BLOCK_WIDTH = 1024
 """Most slices one engine pass carries; wider blocks run in several
@@ -614,9 +613,7 @@ def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray,
 def _shaped(a, shape: tuple[int, ...], what: str, of: str) -> np.ndarray:
     """A caller's array as float64, checked for its shape (that of ``of``);
     an error names it ``what``. A complex array is refused, not cut to its real part."""
-    if getattr(a, "dtype", None) is not _F64 and np.iscomplexobj(a):
-        raise ValueError(f"{what} is complex; only real arrays are accepted")
-    a = as_f64(a)
+    a = as_f64(a, what)
     if a.shape != shape:
         raise ShapeMismatch(f"{what} shape {a.shape} does not match {of} {shape}")
     return a

@@ -72,7 +72,20 @@ def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def as_f64(a) -> np.ndarray:
+_F64 = np.dtype(np.float64)
+
+
+def check_real(a, what: str) -> None:
+    """Raise ValueError for a complex array, which a float64 conversion
+    would cut to its real part; a float64 array is passed on its dtype."""
+    if getattr(a, "dtype", None) is not _F64 and np.iscomplexobj(a):
+        raise ValueError(f"{what} is complex; only real arrays are accepted")
+
+
+def as_f64(a, what: str = "array") -> np.ndarray:
+    """a as a C-contiguous float64 array; a complex one raises ValueError,
+    naming it ``what``."""
+    check_real(a, what)
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
@@ -107,8 +120,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     i,j,k triple loop. No FMA, no blocking, hence reproducible to the
     last bit across machines and thread counts.
     """
-    a = as_f64(a)
-    b = as_f64(b)
+    a = as_f64(a, "matmul operand")
+    b = as_f64(b, "matmul operand")
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeMismatch(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -200,8 +213,8 @@ def conv2d(x: np.ndarray, filters: np.ndarray, stride=(1, 1),
     (kh·kw·C, F) filter matrix, so the summation order within each
     output is whatever that product uses.
     """
-    x = as_f64(x)
-    filters = as_f64(filters)
+    x = as_f64(x, "conv2d input")
+    filters = as_f64(filters, "filters")
     if x.ndim != 4:
         raise ShapeMismatch(f"conv2d input must be 4-d NHWC, got {x.shape}")
     if filters.ndim != 4:
@@ -226,8 +239,8 @@ def conv2d_input_adjoint(g: np.ndarray, filters: np.ndarray, stride,
     flipped filters with C and F swapped in one BLAS product, as in
     ``conv2d``.
     """
-    g = as_f64(g)
-    filters = as_f64(filters)
+    g = as_f64(g, "conv2d cotangent")
+    filters = as_f64(filters, "filters")
     input_shape = tuple(int(d) for d in input_shape)
     ho, wo, sh, sw, pads = _conv_plan(input_shape, filters.shape, stride, padding)
     n, h, w, c = input_shape
@@ -277,7 +290,7 @@ def maxpool_argmax(x: np.ndarray, ksize, stride=None,
     Ties go to the smallest offset; padded positions hold -inf and can
     never win because every window overlaps the real input.
     """
-    x = as_f64(x)
+    x = as_f64(x, "maxpool input")
     if x.ndim != 4:
         raise ShapeMismatch(f"maxpool input must be 4-d NHWC, got {x.shape}")
     n, h, w, c = x.shape
@@ -304,7 +317,7 @@ def qr_householder(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and r upper triangular (n x n) whose diagonal is >= 0.
     Rank-deficient columns leave zeros on the diagonal.
     """
-    a = as_f64(m)
+    a = as_f64(m, "qr input")
     if a.ndim != 2:
         raise ShapeMismatch(f"qr needs a 2-d matrix, got {a.shape}")
     if a.shape[0] < a.shape[1]:

@@ -17,9 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .affine import narrow_side_slope
-from .network import (_F64, BLOCK_WIDTH, Network, ShapeMismatch, _forward_pass,
-                      _single, _transposed_pass)
-from .numerics import check_finite, keyed_rng, qr_householder, read_only
+from .network import (BLOCK_WIDTH, Network, ShapeMismatch, _forward_pass, _single,
+                      _transposed_pass)
+from .numerics import check_finite, check_real, keyed_rng, qr_householder, read_only
 
 
 class AdjointMismatch(RuntimeError):
@@ -96,14 +96,15 @@ class LinearProbe:
             self.lop_calls = 0
 
     def _product(self, fn, a, n_in: int, n_out: int, name: str) -> tuple[np.ndarray, int]:
-        if getattr(a, "dtype", None) is not _F64 and np.iscomplexobj(a):
-            raise ValueError(f"{name} input is complex; only real arrays are accepted")
+        check_real(a, f"{name} input")
         a = np.asarray(a, dtype=np.float64)
         if a.ndim not in (1, 2) or a.shape[0] != n_in or a.ndim == 2 and a.shape[1] < 1:
             raise ShapeMismatch(f"{name} takes a length-{n_in} vector or an "
                                 f"({n_in}, k) block with k >= 1, got {a.shape}")
         if a.ndim == 1 or self.blocks:
-            out = np.asarray(fn(a), dtype=np.float64)
+            out = fn(a)
+            check_real(out, f"{name} result")
+            out = np.asarray(out, dtype=np.float64)
         else:
             out = np.stack([self._product(fn, c, n_in, n_out, name)[0] for c in a.T], axis=1)
         if a.ndim == 1 and out.size == n_out:
@@ -409,16 +410,37 @@ def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
                           residuals=tuple(residuals))
 
 
-def _mc_estimate(probe: LinearProbe, n_samples: int, draw, form) -> tuple[float, float]:
-    """Mean and stderr, by np.mean's formulas, of n_samples samples form(u, A u)
-    from blocks u = draw(k) of k <= BLOCK_WIDTH directions as rows."""
+# stream -> ((str(seed), dim, n_samples), block) of the estimator's last
+# single-block call. Threads need no lock: a call keeps the pair it read
+# or drew, so a race can only cost another call a redraw.
+_last_blocks: dict[str, tuple] = {}
+
+
+def _mc_estimate(probe: LinearProbe, n_samples: int, stream: str, seed, draw,
+                 form) -> tuple[float, float]:
+    """Mean and stderr, by np.mean's formulas, of n_samples samples form(u, A u).
+    The read-only blocks u of k <= BLOCK_WIDTH directions as rows are
+    draw(rng, k, dim) in turn from rng = keyed_rng(stream, seed). A call of
+    one block keeps it in _last_blocks and takes it from there when the
+    stream's next call repeats the key; the key holds the seed as
+    keyed_rng reads it, str(seed), so seeds 1 and 1.0 stay two streams."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    samples = np.empty(n_samples)
-    for start in range(0, n_samples, BLOCK_WIDTH):
-        k = min(BLOCK_WIDTH, n_samples - start)
-        u = draw(k)
-        samples[start:start + k] = form(u, probe.rop(u.T))
+    dim = probe.dim_in
+    if n_samples <= BLOCK_WIDTH:
+        key = (str(seed), dim, n_samples)
+        last = _last_blocks.get(stream)
+        if last is None or last[0] != key:
+            block = read_only(draw(keyed_rng(stream, seed), n_samples, dim))[0]
+            last = _last_blocks[stream] = key, block
+        u = last[1]
+        samples = form(u, probe.rop(u.T))
+    else:
+        rng = keyed_rng(stream, seed)
+        samples = np.empty(n_samples)
+        for start in range(0, n_samples, BLOCK_WIDTH):
+            u = read_only(draw(rng, min(BLOCK_WIDTH, n_samples - start), dim))[0]
+            samples[start:start + len(u)] = form(u, probe.rop(u.T))
     mean = float(samples.sum() / n_samples)
     se_mean = float(np.sqrt(np.sum((samples - mean) ** 2)
                             / (n_samples * (n_samples - 1))))
@@ -430,9 +452,8 @@ def frobenius_norm_mc(probe: LinearProbe, n_samples: int,
     """Monte Carlo Frobenius norm: E ||A u||^2 = ||A||_F^2 for standard
     Gaussian u. Returns (estimate, stderr), the stderr mapped through
     the square root by the delta method."""
-    rng = keyed_rng("frobenius-mc", seed)
-    mean, se_mean = _mc_estimate(probe, n_samples,
-                                 lambda k: rng.standard_normal((k, probe.dim_in)),
+    mean, se_mean = _mc_estimate(probe, n_samples, "frobenius-mc", seed,
+                                 lambda rng, k, d: rng.standard_normal((k, d)),
                                  lambda u, au: np.einsum("ij,ij->j", au, au))
     if mean <= 0.0:
         return 0.0, 0.0
@@ -448,7 +469,6 @@ def trace_mc(probe: LinearProbe, n_samples: int,
     if probe.dim_in != probe.dim_out:
         raise ShapeMismatch(f"trace needs a square map, got "
                             f"({probe.dim_out}, {probe.dim_in})")
-    rng = keyed_rng("trace-mc", seed)
-    return _mc_estimate(probe, n_samples,
-                        lambda k: 2.0 * rng.integers(0, 2, (k, probe.dim_in)) - 1.0,
+    return _mc_estimate(probe, n_samples, "trace-mc", seed,
+                        lambda rng, k, d: 2.0 * rng.integers(0, 2, (k, d)) - 1.0,
                         lambda u, au: np.einsum("ij,ji->i", u, au))

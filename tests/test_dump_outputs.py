@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
+from cpajvp.network import BLOCK_WIDTH
+
 spec = importlib.util.spec_from_file_location(
     "dump_outputs", Path(__file__).resolve().parent.parent / "tools" / "dump_outputs.py")
 dump_outputs = importlib.util.module_from_spec(spec)
@@ -23,7 +25,10 @@ def test_a_tree_dumps_the_same_bytes_twice_and_any_change_is_reported(tmp_path):
         arrays = dict(d)
     assert {"forward", "jvp", "vjp", "clone.0", "jvp_weight", "affine_rop.a",
             "mc-frob.0.0", "svd.0.values", "record.output", "replay_doubled.linear",
-            "replay_doubled.vjp", "replay_leakier"} <= set(arrays)
+            "replay_doubled.vjp", "replay_leakier", "mc_streamed-frob.0.0"} <= set(arrays)
+    assert arrays["mc_streamed-frob.1"] == BLOCK_WIDTH + 5
+    with np.load(a / "probe-reuse-square0.npz") as d:
+        assert d["mc_streamed-trace.1"] == BLOCK_WIDTH + 5
     assert str(arrays["replay_leakier"]).startswith("GraphError: frozen state does not belong")
     zeros = arrays["vjp"] * 0.0
     np.savez(a / name, **dict(arrays, vjp=-zeros))  # zeros that differ in sign only

@@ -389,6 +389,23 @@ def test_qr_rejects_wide_and_non_2d():
         qr_householder(np.zeros(3))
 
 
+def test_kernels_refuse_complex_arrays_not_cut_to_their_real_part():
+    x, f = np.ones((1, 4, 4, 2)), np.ones((2, 2, 2, 3))
+    g = np.ones((1, 3, 3, 3))
+    for label, call in (
+            ("matmul operand", lambda: matmul(np.eye(2) + 1j, np.eye(2))),
+            ("matmul operand", lambda: matmul(np.eye(2), [[1j, 0], [0, 1]])),
+            ("conv2d input", lambda: conv2d(x + 1j, f)),
+            ("filters", lambda: conv2d(x, f.astype(np.complex64))),
+            ("conv2d cotangent", lambda: conv2d_input_adjoint(g + 1j, f, (1, 1), "valid",
+                                                              x.shape)),
+            ("filters", lambda: conv2d_input_adjoint(g, f + 0j, (1, 1), "valid", x.shape)),
+            ("maxpool input", lambda: maxpool_argmax(x + 1j, 2)),
+            ("qr input", lambda: qr_householder(np.eye(3) + 0j))):
+        with pytest.raises(ValueError, match=f"^{label} is complex"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # symmetric eigendecomposition
 

@@ -1,5 +1,11 @@
+import ast
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +164,19 @@ def test_probe_refuses_complex_operands():
         with pytest.raises(ValueError, match="^lop input is complex"):
             p.lop(np.ones((p.dim_out, 2), dtype=np.complex64))
         assert p.rop_calls == p.lop_calls == 0
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+def test_probe_refuses_complex_results(blocks):
+    rop, lop = (lambda u: u * (1 + 1j)), (lambda v: v * (1 - 1j))
+    with pytest.raises(ValueError, match="^rop result is complex"):
+        LinearProbe(2, 2, rop, lop, blocks=blocks)
+    p = LinearProbe(2, 2, rop, lop, check_adjoint=False, blocks=blocks)
+    with pytest.raises(ValueError, match="^rop result is complex"):
+        p.rop(np.ones(2))
+    with pytest.raises(ValueError, match="^lop result is complex"):
+        p.lop(np.ones((2, 3)))
+    assert p.rop_calls == p.lop_calls == 0
 
 
 def test_probe_calls_vector_callables_once_per_column():
@@ -570,6 +589,139 @@ def test_mc_estimators_draw_the_per_sample_stream(n):
     mean, se_mean = per_sample_mean_se([np.dot(d, sq @ d) for d in draws])
     assert abs(est - mean) <= 1e-12 * (1.0 + abs(mean))
     assert abs(se - se_mean) <= 1e-10 * se
+
+
+# ---------------------------------------------------------------------------
+# each estimator's memo of its last single-block draw
+
+@pytest.fixture
+def rng_spy(monkeypatch):
+    """The keys the estimators call keyed_rng with, over an empty memo."""
+    keys = []
+
+    def spy(*parts):
+        keys.append(parts)
+        return keyed_rng(*parts)
+
+    monkeypatch.setattr(spectral, "keyed_rng", spy)
+    monkeypatch.setattr(spectral, "_last_blocks", {})
+    return keys
+
+
+_FRESH_ESTIMATES = """
+import sys
+import numpy as np
+import nets
+from cpajvp import frobenius_norm_mc, probe_from_network, trace_mc
+p = probe_from_network(nets.square_net(0, 6, int(sys.argv[1])), np.linspace(-1.0, 1.0, 6))
+print(repr((frobenius_norm_mc(p, 300, seed=7), trace_mc(p, 300, seed=7))))
+"""
+
+
+def fresh_estimates(depth):
+    """(frobenius, trace) estimates of square_net(0, 6, depth), each the
+    first call of its estimator in a new process."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(p for p in (str(here.parent / "src"), str(here),
+                                       os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _FRESH_ESTIMATES, str(depth)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
+
+
+def test_a_repeated_key_draws_once_per_estimator_and_changes_no_bit(rng_spy):
+    # two nets of one input width, each estimator called twice per net and
+    # interleaved with the other, so each estimator holds its own block
+    x = np.linspace(-1.0, 1.0, 6)
+    for depth in (2, 3):
+        p = probe_from_network(nets.square_net(0, 6, depth), x)
+        got = [(frobenius_norm_mc(p, 300, seed=7), trace_mc(p, 300, seed=7))
+               for _ in range(2)]
+        assert got == [fresh_estimates(depth)] * 2
+        assert p.rop_calls == 4 * 300
+    draws = [key for key in rng_spy if key[0] != "probe-adjoint-check"]
+    assert sorted(draws) == [("frobenius-mc", 7), ("trace-mc", 7)]
+
+
+def test_calls_of_more_than_one_block_are_not_memoized(rng_spy):
+    p = matrix_probe(np.random.default_rng(3).standard_normal((6, 6)), check=False)
+    n = BLOCK_WIDTH + 5
+    small = frobenius_norm_mc(p, 50, seed=2)
+    streamed = [(frobenius_norm_mc(p, n, seed=2), trace_mc(p, n, seed=2)) for _ in range(2)]
+    assert streamed[0] == streamed[1]
+    assert rng_spy == [("frobenius-mc", 2)] + [("frobenius-mc", 2), ("trace-mc", 2)] * 2
+    # the streamed calls left the single-block entry alone and added none
+    assert list(spectral._last_blocks) == ["frobenius-mc"]
+    assert spectral._last_blocks["frobenius-mc"][0] == ("2", 6, 50)
+    assert frobenius_norm_mc(p, 50, seed=2) == small
+    assert len(rng_spy) == 5
+
+
+def test_the_memo_keeps_every_seed_on_its_keyed_stream(rng_spy):
+    # 1, 1.0, True and np.int64(1) are equal as dict keys, but keyed_rng
+    # reads str(seed): "1", "1.0" and "True" are three streams
+    m = np.random.default_rng(5).standard_normal((6, 6))
+    seeds = [1, 1.0, True, "1", np.int64(1)]
+    order = seeds + seeds[::-1]
+    for seed in order:
+        p, seen = recording_probe(m)
+        frobenius_norm_mc(p, 40, seed=seed)
+        want = keyed_rng("frobenius-mc", seed).standard_normal((40, 6))
+        assert np.array_equal(np.concatenate(seen), want)
+        p, seen = recording_probe(m)
+        trace_mc(p, 40, seed=seed)
+        want = 2.0 * keyed_rng("trace-mc", seed).integers(0, 2, (40, 6)) - 1.0
+        assert np.array_equal(np.concatenate(seen), want)
+    # a draw exactly where the seed's string changes
+    changes = 1 + sum(str(a) != str(b) for a, b in zip(order, order[1:]))
+    assert len(rng_spy) == 2 * changes
+
+
+def test_threads_racing_on_the_memo_each_get_their_own_key():
+    p = matrix_probe(np.random.default_rng(9).standard_normal((5, 7)), check=False)
+    want = {seed: frobenius_norm_mc(p, 30, seed=seed) for seed in range(4)}
+    errors = []
+
+    def work(seed):
+        try:
+            for i in range(100):
+                s = (seed + i) % 4  # threads keep asking for each other's keys
+                if frobenius_norm_mc(p, 30, seed=s) != want[s]:
+                    errors.append((seed, i))
+        except Exception as exc:  # a thread's exception would not reach the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+@pytest.mark.parametrize("n", [40, BLOCK_WIDTH + 5])
+@pytest.mark.parametrize("blocks", [False, True])
+def test_a_rop_that_writes_into_its_input_raises(blocks, n):
+    # trace_mc reads its block after rop, so a rop that overwrote it
+    # would change the estimate silently
+    m = np.random.default_rng(8).standard_normal((5, 5))
+
+    def rop(u):
+        u *= -1.0
+        return -(m @ u)
+
+    p = LinearProbe(5, 5, rop, lambda v: m.T @ v, check_adjoint=False, blocks=blocks)
+    for estimator in (trace_mc, frobenius_norm_mc):
+        with pytest.raises(ValueError, match="read-only"):
+            estimator(p, n, seed=0)
 
 
 # ---------------------------------------------------------------------------

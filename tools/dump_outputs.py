@@ -12,8 +12,10 @@ the network (``replay_doubled``: Dense and Conv2D weights doubled;
 ``replay_leakier``: every activation's leakiness raised by 0.25, which
 the library refuses), on the five fixture families at seeds 0-3 and
 scales 1-2 and on every benchmark network, each at inputs drawn from a
-generator keyed by the network's and the kind's names. Each network's
-outputs go to one ``.npz`` file, one array per output field; a call
+generator keyed by the network's and the kind's names. The networks in
+``STREAMED`` also get an estimate of ``BLOCK_WIDTH + 5`` samples, two
+sample blocks, from the estimators named there (``mc_streamed``). Each
+network's outputs go to one ``.npz`` file, one array per output field; a call
 that raises stores its exception instead. BLAS is pinned to one thread
 before numpy loads, so the bits do not depend on the thread count.
 
@@ -41,6 +43,10 @@ FIXTURE_SEEDS = range(4)
 FIXTURE_SCALES = (1, 2)
 FIXTURE_MC_SAMPLES = 200
 EXTRA_KINDS = ("record", "double_vjp", "batch_jacobian", "replay_doubled", "replay_leakier")
+# Estimators whose samples stream through more than one block, the path an
+# estimator's memo of its last single-block draw leaves alone. No fixture
+# network is square, so trace runs on a benchmark one.
+STREAMED = {"fixture-mlp-s0-x1": ("frob",), "probe-reuse-square0": ("trace",)}
 
 
 def load_workloads(tree: Path):
@@ -118,6 +124,8 @@ def outputs(wl, name: str, net, kinds, mc_samples: int) -> dict:
                 value = {"affine": cpajvp.frozen_forward(copy, state, inp["u"]),
                          "linear": cpajvp.frozen_forward(copy, state, inp["u"], "linear"),
                          "vjp": cpajvp.frozen_vjp(copy, state, v)}
+            elif kind == "mc_streamed":
+                value = wl.call("mc", net, est, inp, cpajvp.network.BLOCK_WIDTH + 5, 0)
             else:
                 value = wl.call(kind, net, est, inp, mc_samples, 0)
         except (ValueError, RuntimeError) as exc:  # the library's errors
@@ -157,6 +165,7 @@ def dump(out_dir: Path, tree: Path = ROOT) -> int:
             jobs.append((f"{wname}-{n}", net, workload_kinds(wl, groups, n),
                          cfg["mc_samples"]))
     for name, net, kinds, mc_samples in jobs:
+        kinds = kinds + [("mc_streamed", est) for est in STREAMED.get(name, ())]
         np.savez(out_dir / f"{name}.npz", **outputs(wl, name, net, kinds, mc_samples))
     return len(jobs)
 
