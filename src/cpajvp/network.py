@@ -251,13 +251,10 @@ class BatchNormInference(_Elementwise):
 
     def apply(self, nid, ins, n_aff, state, record):
         (v,) = ins
-        root = np.sqrt(self.running_var + self.epsilon)
-        if n_aff >= len(v):
-            return self.gamma * (v - self.running_mean) / root + self.beta
-        out = v * (self.gamma / root)
-        if n_aff:
-            # affine slices keep the plain formula's rounding, as in forward
-            out[:n_aff] = self.gamma * (v[:n_aff] - self.running_mean) / root + self.beta
+        scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
+        out = v * scale
+        if n_aff:  # the shift, like every additive term, skips the linear slices
+            _add_affine(out, self.beta - self.running_mean * scale, n_aff)
         return out
 
 

@@ -51,8 +51,19 @@ def _key_words_type() -> type:
     return _KeyWords
 
 
+def key_text(*parts) -> str:
+    """The "/"-joined str of the parts, which keys a stream. An array part
+    of one or more dimensions raises ValueError: numpy prints it rounded,
+    and a long one with "..." in the middle, so two arrays could share a
+    stream."""
+    for p in parts:
+        if isinstance(p, np.ndarray) and p.ndim:
+            raise ValueError(f"a stream key part cannot be an array of shape {p.shape}")
+    return "/".join(str(p) for p in parts)
+
+
 def keyed_rng(*parts) -> np.random.Generator:
-    """Counter-based generator keyed by the "/"-joined parts, so a draw
+    """Counter-based generator keyed by the parts' ``key_text``, so a draw
     does not depend on the order of draws anywhere else.
 
     The Philox key is the first 16 bytes of the parts' blake2s digest,
@@ -60,7 +71,7 @@ def keyed_rng(*parts) -> np.random.Generator:
     stream of ``Philox(key=int.from_bytes(digest[:16], "little"))``. The
     words go to Philox as its seed sequence, so no OS entropy is read.
     """
-    digest = hashlib.blake2s("/".join(str(p) for p in parts).encode()).digest()
+    digest = hashlib.blake2s(key_text(*parts).encode()).digest()
     words = np.frombuffer(digest, dtype="<u8", count=2)
     return np.random.Generator(np.random.Philox(_key_words_type()(words)))
 

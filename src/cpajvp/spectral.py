@@ -19,7 +19,7 @@ import numpy as np
 from .affine import narrow_side_slope
 from .network import (BLOCK_WIDTH, Network, ShapeMismatch, _forward_pass, _single,
                       _transposed_pass)
-from .numerics import check_finite, check_real, keyed_rng, qr_householder, read_only
+from .numerics import check_finite, check_real, key_text, keyed_rng, qr_householder, read_only
 
 
 class AdjointMismatch(RuntimeError):
@@ -410,7 +410,7 @@ def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
                           residuals=tuple(residuals))
 
 
-# stream -> ((str(seed), dim, n_samples), block) of the estimator's last
+# stream -> ((key_text(seed), dim, n_samples), block) of the estimator's last
 # single-block call. Threads need no lock: a call keeps the pair it read
 # or drew, so a race can only cost another call a redraw.
 _last_blocks: dict[str, tuple] = {}
@@ -423,12 +423,13 @@ def _mc_estimate(probe: LinearProbe, n_samples: int, stream: str, seed, draw,
     draw(rng, k, dim) in turn from rng = keyed_rng(stream, seed). A call of
     one block keeps it in _last_blocks and takes it from there when the
     stream's next call repeats the key; the key holds the seed as
-    keyed_rng reads it, str(seed), so seeds 1 and 1.0 stay two streams."""
+    keyed_rng reads it, key_text(seed), so seeds 1 and 1.0 stay two
+    streams and an array seed raises before the memo is read."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     dim = probe.dim_in
     if n_samples <= BLOCK_WIDTH:
-        key = (str(seed), dim, n_samples)
+        key = (key_text(seed), dim, n_samples)
         last = _last_blocks.get(stream)
         if last is None or last[0] != key:
             block = read_only(draw(keyed_rng(stream, seed), n_samples, dim))[0]

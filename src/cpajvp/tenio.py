@@ -80,14 +80,16 @@ def read_tensor(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# network JSON: one table of layer kinds
+# network JSON: field tables
 
-REQUIRED = object()  # the default of a field that every layer of its kind sets
+REQUIRED = object()  # the default of a field that every object of its kind sets
 
 # JSON type -> (spec class, fields as (JSON key, kind, default)). A kind
-# is an array's rank, "number", "int", "pair" (an int or two), "padding"
-# or "mode". A JSON key is also the spec attribute, except that dropout's
-# "mode" holds its ``training`` flag. Defaults are spec values.
+# is an array's rank, "number", "int", "pair" (an int or two), "shape"
+# (positive ints), "name" (a non-empty string), "names", "nodes",
+# "layer" or a key of _CHOICES. A JSON key is also the spec attribute,
+# except that dropout's "mode" holds its ``training`` flag. Defaults are
+# spec values.
 LAYERS = {
     "dense": (Dense, (("weights", 2, REQUIRED), ("bias", 1, REQUIRED))),
     "conv2d": (Conv2D, (("filters", 4, REQUIRED), ("bias", 1, REQUIRED),
@@ -107,26 +109,47 @@ LAYERS = {
         ("w_hidden", 2, REQUIRED), ("w_input", 2, REQUIRED), ("bias", 1, REQUIRED),
         ("leakiness", "number", 0.0), ("steps", "int", REQUIRED))),
 }
+# the document, a node (its "id", once read, names it in later messages),
+# and a weight array's file reference, in the same form
+DOCUMENT = (("input_shape", "shape", REQUIRED), ("nodes", "nodes", REQUIRED),
+            ("output", "name", REQUIRED))
+NODE = (("id", "name", REQUIRED), ("inputs", "names", REQUIRED),
+        ("layer", "layer", REQUIRED))
+FILE_REF = (("file", "name", REQUIRED),)
 _TYPE_OF = {cls: name for name, (cls, _) in LAYERS.items()}
-_CHOICES = {"padding": ("same", "valid"), "mode": ("inference", "training")}
+_CHOICES = {"padding": ("same", "valid"), "mode": ("inference", "training"),
+            "type": tuple(LAYERS)}
 _ATTR = {"mode": "training"}  # JSON keys that differ from the spec attribute
 
 
 # ---------------------------------------------------------------------------
 # network JSON: reading
 
-def _field(obj: dict, key: str, ctx: str):
-    if key not in obj:
-        raise NetworkSchemaError(f"{ctx}: missing field {key!r}")
-    return obj[key]
+def _read(obj, fields, ctx: str, base: Path) -> dict:
+    """A JSON object's fields, each read by its kind and an absent one
+    set to its default; refuses a value that is not an object, a missing
+    required field and an unknown field."""
+    if not isinstance(obj, dict):
+        raise NetworkSchemaError(f"{ctx}: expected an object, got {type(obj).__name__}")
+    out = {}
+    for key, kind, default in fields:
+        if key in obj:
+            out[key] = _value(kind, obj[key], f"{ctx}.{key}", base)
+        elif default is REQUIRED:
+            raise NetworkSchemaError(f"{ctx}: missing field {key!r}")
+        else:
+            out[key] = default
+        if key == "id":
+            ctx = f"node {out[key]!r}"
+    unknown = set(obj) - {key for key, _, _ in fields}
+    if unknown:
+        raise NetworkSchemaError(f"{ctx}: unknown field {sorted(unknown)[0]!r}")
+    return out
 
 
 def _array(value, ctx: str, base: Path, ndim: int) -> np.ndarray:
     if isinstance(value, dict):
-        ref = _field(value, "file", ctx)
-        if not isinstance(ref, str):
-            raise NetworkSchemaError(f"{ctx}.file: expected a path string")
-        path = base / ref
+        path = base / _read(value, FILE_REF, ctx, base)["file"]
         if not path.is_file():
             raise NetworkSchemaError(f"{ctx}: weight file {str(path)!r} not found")
         try:
@@ -169,36 +192,32 @@ def _value(kind, v, ctx: str, base: Path):
         if isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)):
             return (v[0], v[1])
         raise NetworkSchemaError(f"{ctx}: expected an int or a pair, got {v!r}")
-    a, b = _CHOICES[kind]
-    if v not in (a, b):
-        raise NetworkSchemaError(f"{ctx}: expected {a!r} or {b!r}, got {v!r}")
+    if kind == "shape":
+        if isinstance(v, list) and v and all(_is_int(d) and d >= 1 for d in v):
+            return tuple(v)
+        raise NetworkSchemaError(f"{ctx}: expected a non-empty list of positive "
+                                 f"ints, got {v!r}")
+    if kind == "name":
+        if isinstance(v, str) and v:
+            return v
+        raise NetworkSchemaError(f"{ctx}: expected a non-empty string, got {v!r}")
+    if kind in ("names", "nodes"):
+        if not isinstance(v, list):
+            raise NetworkSchemaError(f"{ctx}: expected a list, got {type(v).__name__}")
+        if kind == "names":
+            return tuple(_value("name", r, f"{ctx}[{i}]", base) for i, r in enumerate(v))
+        return [Node(**_read(r, NODE, f"nodes[{i}]", base)) for i, r in enumerate(v)]
+    if kind == "layer":
+        name = v.get("type") if isinstance(v, dict) else None
+        # a missing or unknown type fails in _read, before cls is used
+        cls, fields = LAYERS[name] if name in _CHOICES["type"] else (None, ())
+        args = _read(v, (("type", "type", REQUIRED),) + fields, ctx, base)
+        return cls(**{_ATTR.get(key, key): args[key] for key, _, _ in fields})
+    choices = _CHOICES[kind]
+    if v not in choices:
+        raise NetworkSchemaError(f"{ctx}: expected one of {', '.join(map(repr, choices))}, "
+                                 f"got {v!r}")
     return v == "training" if kind == "mode" else v
-
-
-def _check_keys(obj: dict, allowed: set[str], ctx: str) -> None:
-    unknown = set(obj) - allowed - {"type"}
-    if unknown:
-        raise NetworkSchemaError(f"{ctx}: unknown field {sorted(unknown)[0]!r}")
-
-
-def _parse_layer(spec: dict, ctx: str, base: Path):
-    if not isinstance(spec, dict):
-        raise NetworkSchemaError(f"{ctx}: layer must be an object, got "
-                                 f"{type(spec).__name__}")
-    name = _field(spec, "type", ctx)
-    if not isinstance(name, str) or name not in LAYERS:
-        raise NetworkSchemaError(f"{ctx}.type: unknown layer type {name!r}")
-    cls, fields = LAYERS[name]
-    _check_keys(spec, {key for key, _, _ in fields}, ctx)
-    args = {}
-    for key, kind, default in fields:
-        if key in spec:
-            args[_ATTR.get(key, key)] = _value(kind, spec[key], f"{ctx}.{key}", base)
-        elif default is REQUIRED:
-            raise NetworkSchemaError(f"{ctx}: missing field {key!r}")
-        else:
-            args[_ATTR.get(key, key)] = default
-    return cls(**args)
 
 
 def parse_network(path) -> Network:
@@ -217,40 +236,7 @@ def parse_network(path) -> Network:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkSchemaError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise NetworkSchemaError(f"{path}: top level must be an object")
-    unknown = set(doc) - {"input_shape", "nodes", "output"}
-    if unknown:
-        raise NetworkSchemaError(f"{path}: unknown top-level field "
-                                 f"{sorted(unknown)[0]!r}")
-    shape = _field(doc, "input_shape", str(path))
-    if (not isinstance(shape, list) or not shape
-            or not all(_is_int(d) and d >= 1 for d in shape)):
-        raise NetworkSchemaError(f"{path}: input_shape must be a non-empty list "
-                                 f"of positive ints, got {shape!r}")
-    raw_nodes = _field(doc, "nodes", str(path))
-    if not isinstance(raw_nodes, list):
-        raise NetworkSchemaError(f"{path}: nodes must be a list")
-    nodes = []
-    for i, raw in enumerate(raw_nodes):
-        if not isinstance(raw, dict):
-            raise NetworkSchemaError(f"nodes[{i}]: must be an object")
-        nid = _field(raw, "id", f"nodes[{i}]")
-        if not isinstance(nid, str) or not nid:
-            raise NetworkSchemaError(f"nodes[{i}].id: must be a non-empty string")
-        ctx = f"node {nid!r}"
-        _check_keys(raw, {"id", "layer", "inputs"}, ctx)
-        inputs = _field(raw, "inputs", ctx)
-        if (not isinstance(inputs, list)
-                or not all(isinstance(r, str) for r in inputs)):
-            raise NetworkSchemaError(f"{ctx}.inputs: must be a list of node ids")
-        layer = _parse_layer(_field(raw, "layer", ctx), f"{ctx}: layer",
-                             path.parent)
-        nodes.append(Node(id=nid, layer=layer, inputs=tuple(inputs)))
-    output = _field(doc, "output", str(path))
-    if not isinstance(output, str):
-        raise NetworkSchemaError(f"{path}: output must be a node id string")
-    net = Network(input_shape=tuple(shape), nodes=nodes, output=output)
+    net = Network(**_read(doc, DOCUMENT, str(path), path.parent))
     try:
         shape_infer(net)
     except (GraphError, ShapeMismatch) as exc:

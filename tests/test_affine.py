@@ -139,6 +139,15 @@ def test_budget_guard_trips_on_large_expansion():
         materialize_affine_direct(net, x, budget=10)
 
 
+def test_rop_budget_guard_refuses_a_slope_over_budget():
+    net, x = fixtures.generate("mlp", 0)
+    entries = net.plan.d_in * net.plan.d_out
+    with pytest.raises(BudgetExceeded, match=f"slope needs {entries} entries"):
+        materialize_affine_via_rop(net, x, budget=entries - 1)
+    amap = materialize_affine_via_rop(net, x, budget=entries)
+    assert amap.a.shape == (net.plan.d_out, net.plan.d_in)
+
+
 def test_slope_is_exactly_w_on_an_all_active_region():
     rng = np.random.default_rng(7)
     w = rng.standard_normal((5, 4))

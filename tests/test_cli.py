@@ -106,6 +106,15 @@ def test_affine_budget_flag(netdir, tmp_path, capsys):
     assert "budget" in capsys.readouterr().err.lower()
 
 
+def test_affine_rop_budget_flag(netdir, tmp_path, capsys):
+    code = run(["affine", "--net", netdir / "net.json", "--x", netdir / "x.ten",
+                "--out-slope", tmp_path / "a.ten", "--out-bias", tmp_path / "b.ten",
+                "--method", "rop", "--budget", "4"])
+    assert code == 2
+    assert "budget" in capsys.readouterr().err.lower()
+    assert not (tmp_path / "a.ten").exists()
+
+
 # ---------------------------------------------------------------------------
 # spectral commands
 
@@ -197,6 +206,28 @@ def test_bench_csv_and_k_sweep(netdir, tmp_path, capsys):
     # two sweep points, three strategies plus a forward baseline each
     assert len(rows) == 8
     assert {r[2] for r in rows} == {"1", "3"}
+
+
+@pytest.mark.parametrize("output", ["conv", "pool"])
+def test_k_sweep_flattens_an_image_output(tmp_path, capsys, output):
+    # the sweep's dense head needs a Flatten after a Conv2D or MaxPool output
+    import nets
+    from cpajvp import Network
+    body = nets.tiny_cnn()
+    ids = [n.id for n in body.nodes]
+    net = Network(body.input_shape, body.nodes[:ids.index(output) + 1], output)
+    save_network(net, tmp_path / "net")
+    csv_path = tmp_path / "bench.csv"
+    assert run(["bench", "--net", tmp_path / "net" / "net.json", "--reps", "10",
+                "--warmup", "1", "--seed", "0", "--k-sweep", "1,3",
+                "--csv", csv_path]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [ln.split(",") for ln in csv_path.read_text().splitlines()[1:] if ln]
+    assert len(rows) == 8
+    assert {(r[1], r[2]) for r in rows} == {("32", "1"), ("32", "3")}
+    head = fixtures.with_dense_head(net, 3, 0)
+    assert [n.id for n in head.nodes[-2:]] == ["sweep_flat", "sweep_head"]
+    assert head.plan.out_shape == (3,)
 
 
 def test_bench_no_forward_skips_baseline(netdir, tmp_path):

@@ -2,7 +2,9 @@
 as literal documents, the layer table's per-kind checks, weight file
 names and numbers too large for float64."""
 import dataclasses
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import cpajvp
 from cpajvp import (Dense, NetworkSchemaError, NonFiniteInput, Network, Node,
                     fixtures, forward, parse_network, save_network)
 from cpajvp.network import _Layer
-from cpajvp.tenio import LAYERS, REQUIRED
+from cpajvp.tenio import LAYERS, REQUIRED, write_tensor
 
 
 def net_doc(tmp_path, doc):
@@ -244,6 +246,71 @@ def test_spec_subclass_saves_as_its_base_kind(tmp_path):
     doc = json.loads((tmp_path / "net.json").read_text())
     assert doc["nodes"][0]["layer"]["type"] == "dense"
     assert type(parse_network(tmp_path / "net.json").nodes[0].layer) is Dense
+
+
+# ---------------------------------------------------------------------------
+# the document and node objects: each schema error names the node or field
+
+MISSING = object()
+
+
+def changed(path, value):
+    """A copy of the pinned image document with the entry at path (keys
+    and list indices) set to value, or removed for MISSING; the empty
+    path replaces the whole document."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(FULL_IMAGE))
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    if value is MISSING:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+# node 2 is 'act', node 8 'fc'; a node's index names it until its id is read
+DOCUMENT_ERRORS = [
+    pytest.param((), [FULL_IMAGE], ["net.json"], id="top-level-list"),
+    pytest.param(("input_shape",), MISSING, ["input_shape"], id="input_shape-missing"),
+    pytest.param(("input_shape",), [], ["input_shape"], id="input_shape-empty"),
+    pytest.param(("input_shape", 1), 0, ["input_shape"], id="input_shape-zero"),
+    pytest.param(("input_shape", 1), True, ["input_shape"], id="input_shape-bool"),
+    pytest.param(("input_shape", 1), 2.5, ["input_shape"], id="input_shape-float"),
+    pytest.param(("nodes",), {"id": "conv"}, ["nodes"], id="nodes-object"),
+    pytest.param(("nodes", 2), ["act"], ["nodes[2]"], id="node-list"),
+    pytest.param(("nodes", 2, "id"), MISSING, ["nodes[2]", "id"], id="id-missing"),
+    pytest.param(("nodes", 2, "id"), "", ["nodes[2]", "id"], id="id-empty"),
+    pytest.param(("nodes", 2, "id"), 7, ["nodes[2]", "id"], id="id-int"),
+    pytest.param(("nodes", 2, "inputs"), "bn", ["node 'act'", "inputs"], id="inputs-string"),
+    pytest.param(("nodes", 2, "inputs", 0), 1, ["node 'act'", "inputs"], id="inputs-int"),
+    pytest.param(("nodes", 2, "colour"), "blue", ["node 'act'", "colour"],
+                 id="node-unknown-field"),
+    pytest.param(("nodes", 2, "layer"), "activation", ["node 'act'", "layer"],
+                 id="layer-string"),
+    pytest.param(("output",), ["fc"], ["output"], id="output-list"),
+    pytest.param(("output",), MISSING, ["output"], id="output-missing"),
+    pytest.param(("nodes", 8, "layer", "bias"), {"file": 3}, ["node 'fc'", "bias", "file"],
+                 id="file-int"),
+]
+
+
+@pytest.mark.parametrize("path,value,names", DOCUMENT_ERRORS)
+def test_document_and_node_errors_are_named(tmp_path, path, value, names):
+    with pytest.raises(NetworkSchemaError) as info:
+        parse_network(net_doc(tmp_path, changed(path, value)))
+    for name in names:
+        assert name in str(info.value)
+
+
+def test_a_file_reference_with_an_unknown_key_is_refused(tmp_path):
+    write_tensor(tmp_path / "bias.ten", np.array([0.3, -0.3]))
+    doc = changed(("nodes", 8, "layer", "bias"), {"file": "bias.ten"})
+    assert np.array_equal(parse_network(net_doc(tmp_path, doc)).nodes[8].layer.bias,
+                          [0.3, -0.3])
+    doc = changed(("nodes", 8, "layer", "bias"), {"file": "bias.ten", "dtype": "<f8"})
+    assert_rejected(tmp_path, doc, "fc", "dtype")
 
 
 # ---------------------------------------------------------------------------

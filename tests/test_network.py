@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import nets
-from cpajvp import (Activation, Add, Concat, Dense, Dropout, GraphError,
-                    MaxPool, Network, Node, NonFiniteInput, Recurrent,
+from cpajvp import (Activation, Add, BatchNormInference, Concat, Conv2D, Dense, Dropout,
+                    GraphError, MaxPool, Network, Node, NonFiniteInput, Recurrent,
                     ShapeMismatch, dropout_mask, forward, jvp_input,
                     materialize_affine_via_rop, record_states, shape_infer,
                     validate, vjp_input)
@@ -160,6 +160,43 @@ def test_shape_errors_name_the_node():
     net = Network((3,), [Node("cat2", Concat(1), ["input", "input"])], "cat2")
     with pytest.raises(ShapeMismatch, match="cat2"):
         shape_infer(net)
+
+
+def _bn(n_gamma=2, n_beta=2, n_mean=2, n_var=2):
+    return BatchNormInference(np.ones(n_gamma), np.zeros(n_beta), np.zeros(n_mean),
+                              np.ones(n_var))
+
+
+_IMAGE = (1, 2, 2, 1)
+_SMALL = Node("small", Conv2D(np.ones((2, 2, 1, 1)), np.zeros(1)), ["input"])  # (1, 1, 1, 1)
+SPEC_SHAPE_ERRORS = [
+    pytest.param((3,), [Node("fc", Dense(np.ones((2, 3)), np.zeros(3)), ["input"])],
+                 id="dense-bias"),
+    pytest.param(_IMAGE, [Node("fc", Conv2D(np.ones((1, 1, 1, 2)), np.zeros(3)),
+                               ["input"])], id="conv-bias"),
+    *[pytest.param((2,), [Node("fc", _bn(**{name: 3}), ["input"])], id=f"batchnorm-{name}")
+      for name in ("n_gamma", "n_beta", "n_mean", "n_var")],
+    pytest.param(_IMAGE, [_SMALL, Node("fc", Add(), ["input", "small"])], id="add"),
+    pytest.param(_IMAGE, [_SMALL, Node("fc", Concat(-1), ["input", "small"])], id="concat"),
+    pytest.param((2, 3), [Node("fc", Recurrent(np.ones((4, 3)), np.ones((4, 3)),
+                                               np.zeros(4), 0.0, 2), ["input"])],
+                 id="recurrent-w_hidden"),
+    pytest.param((2, 3), [Node("fc", Recurrent(np.ones((4, 4)), np.ones((4, 5)),
+                                               np.zeros(4), 0.0, 2), ["input"])],
+                 id="recurrent-w_input"),
+    pytest.param((2, 3), [Node("fc", Recurrent(np.ones((4, 4)), np.ones((4, 3)),
+                                               np.zeros(4), 0.0, 3), ["input"])],
+                 id="recurrent-steps"),
+    pytest.param((2, 3), [Node("fc", Recurrent(np.ones((4, 4)), np.ones((4, 3)),
+                                               np.zeros(3), 0.0, 2), ["input"])],
+                 id="recurrent-bias"),
+]
+
+
+@pytest.mark.parametrize("input_shape,nodes", SPEC_SHAPE_ERRORS)
+def test_each_spec_names_its_node_on_a_shape_mismatch(input_shape, nodes):
+    with pytest.raises(ShapeMismatch, match="node 'fc'"):
+        shape_infer(Network(input_shape, nodes, "fc"))
 
 
 def test_validate_rejects_bad_graphs():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cpajvp.numerics import (NonFiniteInput, ShapeMismatch, check_finite, conv2d,
-                             conv2d_input_adjoint, conv2d_output_shape, keyed_rng,
+                             conv2d_input_adjoint, conv2d_output_shape, key_text, keyed_rng,
                              matmul, maxpool_argmax, maxpool_output_shape,
                              qr_householder)
 from oracles import dense_eig_symmetric, dense_svd
@@ -496,6 +496,22 @@ def test_keyed_streams_equal_philox_keyed_by_the_digest(parts):
     assert got.random((3, 4)).tobytes() == want.random((3, 4)).tobytes()
     # the key words are the seed sequence: no OS entropy is drawn
     assert not isinstance(got.bit_generator.seed_seq, np.random.SeedSequence)
+
+
+def test_array_key_parts_are_refused_and_scalar_parts_keep_their_text():
+    # numpy prints arrays rounded, and long ones with "...", so these pairs
+    # would share a stream if an array part were keyed by its str
+    long = np.arange(2000.0)
+    edited = long.copy()
+    edited[1000] = -7.0
+    for part in (long, edited, np.array([1.0]), np.array([1.0000000000000002]),
+                 np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="array of shape"):
+            keyed_rng("frobenius-mc", part)
+    for part, text in ((np.array(3), "3"), (np.float64(1.5), "1.5"), (np.int64(7), "7")):
+        assert key_text("s", part) == f"s/{text}"
+        assert (keyed_rng("s", part).random(4).tobytes()
+                == keyed_rng("s", text).random(4).tobytes())
 
 
 def test_keyed_seed_sequence_gives_only_the_key():

@@ -288,6 +288,21 @@ def test_top_k_svd_call_counter_law():
         assert res.lop_calls == k * res.iterations
 
 
+def test_top_k_svd_stops_when_a_rank_two_map_has_no_new_direction():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 6))
+    res = top_k_svd(matrix_probe(m), 3, tol=0.0)
+    # one left block already spans the range of A, so no direction is left
+    # after the first iteration, long before max_iter
+    assert res.iterations == 1
+    assert res.rop_calls == 3 * res.iterations + 3
+    assert res.lop_calls == 3 * res.iterations
+    assert res.values[2] == 0.0
+    assert not res.left_vectors[:, 2].any()
+    _, s, _ = dense_svd(m)
+    assert np.max(np.abs(res.values[:2] - s[:2])) <= 1e-12 * s[0]
+
+
 def test_top_k_svd_on_network_region():
     net, x = fixtures.generate("mlp", 9)
     amap = materialize_affine_direct(net, x)
@@ -677,6 +692,22 @@ def test_the_memo_keeps_every_seed_on_its_keyed_stream(rng_spy):
     # a draw exactly where the seed's string changes
     changes = 1 + sum(str(a) != str(b) for a, b in zip(order, order[1:]))
     assert len(rng_spy) == 2 * changes
+
+
+@pytest.mark.parametrize("estimator", [frobenius_norm_mc, trace_mc], ids=["frob", "trace"])
+def test_array_seeds_are_refused_before_the_memo_is_read(rng_spy, estimator):
+    p = matrix_probe(np.random.default_rng(4).standard_normal((6, 6)), check=False)
+    # a string seed that prints like the arrays below leaves its block first
+    estimator(p, 40, seed="[1.]")
+    long = np.arange(2000.0)
+    edited = long.copy()
+    edited[1000] = -7.0
+    for seed in (np.array([1.0]), np.array([1.0000000000000002]), long, edited):
+        for n in (40, BLOCK_WIDTH + 5):
+            with pytest.raises(ValueError, match="array"):
+                estimator(p, n, seed=seed)
+    assert p.rop_calls == 40
+    assert [key for key, _ in spectral._last_blocks.values()] == [("[1.]", 6, 40)]
 
 
 def test_threads_racing_on_the_memo_each_get_their_own_key():
