@@ -81,7 +81,7 @@ def strategy_batch_jacobian(net: Network, x: np.ndarray, u: np.ndarray,
         raise BudgetExceeded(f"{d_out} Jacobian rows exceed the row budget "
                              f"{row_budget}")
     _, state = record_states(net, x)
-    rows = np.empty((d_out, state.input.size))
+    rows = np.empty((d_out, net.plan.d_in))
     e = np.zeros(d_out)
     for i in range(d_out):
         e[i] = 1.0

@@ -30,10 +30,7 @@ def _check_state(net: Network, state: FrozenState) -> None:
     if ours != theirs:
         raise GraphError(f"frozen state does not belong to this network (mismatched "
                          f"nodes: {sorted({i for i, _ in ours ^ theirs})[:3]})")
-    if state.input.shape != net.input_shape:
-        raise ShapeMismatch(f"state was recorded on input {state.input.shape}, "
-                            f"network expects {net.input_shape}")
-    if shapes := [i for i in plan.by_id if rec.shapes[i] != plan.shapes[i]]:
+    if shapes := [i for i in plan.shapes if rec.shapes[i] != plan.shapes[i]]:  # input's too
         raise ShapeMismatch(f"state was recorded on other shapes at nodes {shapes[:3]}")
 
     def params(layer):  # the non-array fields by value; a list equals its tuple
@@ -50,11 +47,11 @@ def frozen_forward(net: Network, state: FrozenState, v: np.ndarray,
     """Replay the recorded region on a new input.
 
     mode "affine" evaluates A v + b (all biases kept); mode "linear"
-    leaves every additive term out and evaluates A v. At v = state.input
-    in affine mode this reproduces the recorded forward bitwise.
-    The state may come from any network with the same node ids and, per
-    node, the same layer kind, shape and non-array fields: weight arrays
-    may differ; else GraphError or ShapeMismatch. v is checked as "input".
+    leaves every additive term out and evaluates A v. Affine mode at the
+    recording input reproduces the recorded forward bitwise. The state
+    may come from any network with the same node ids, input shape and,
+    per node, layer kind, shape and non-array fields: weight arrays may
+    differ; else GraphError or ShapeMismatch. v is checked as "input".
     """
     if mode not in ("affine", "linear"):
         raise ValueError(f"mode must be 'affine' or 'linear', got {mode!r}")

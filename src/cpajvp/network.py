@@ -524,9 +524,8 @@ def _shared_dropout(seed, node_id, shape, rate) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass
 class FrozenState:
-    """Nonlinearity states recorded at one input; no feature maps.
+    """Nonlinearity states recorded at one input; no feature maps, no input.
 
-    input: the recording input;
     plan: the recording network's plan, which ties the state to the
           networks it may replay on (``clone.frozen_forward``);
     sign_masks: activation nodes, True where pre-activation >= 0
@@ -537,7 +536,6 @@ class FrozenState:
              the diagonal q that its replay multiplies by: where(mask, 1,
              leakiness), or keep / (1 - rate), shared like the keep mask.
     """
-    input: np.ndarray
     plan: Plan = field(repr=False)
     sign_masks: dict[str, np.ndarray] = field(default_factory=dict)
     argmax_indices: dict[str, np.ndarray] = field(default_factory=dict)
@@ -547,18 +545,6 @@ class FrozenState:
 
 # ---------------------------------------------------------------------------
 # the two engines
-
-def _forward_block(plan, batch, n_aff, state, patch):
-    record = state is None
-    if record:
-        state = FrozenState(batch[0], plan)
-    values = [batch]
-    for nid, spec, slots in plan.forward:
-        ins = [values[slots[0]]] if len(slots) == 1 else [values[s] for s in slots]
-        out = spec.apply(nid, ins, n_aff, state, record)
-        values.append(patch[nid](out, ins) if patch and nid in patch else out)
-    return values[plan.out_slot], state
-
 
 def _forward_pass(net: Network, batch: np.ndarray, n_aff: int,
                   state: FrozenState | None = None,
@@ -571,20 +557,39 @@ def _forward_pass(net: Network, batch: np.ndarray, n_aff: int,
     into the returned state; otherwise the given state is replayed.
     ``patch`` maps node ids to functions (output batch, input batches)
     -> output batch, run right after the node's layer; callers that
-    patch pass at most BLOCK_WIDTH slices. Returns the
-    (B, *output_shape) batch and the state. Nothing is checked here.
+    patch pass at most BLOCK_WIDTH slices, since a wider batch goes
+    through in blocks of that width. Returns the (B, *output_shape)
+    batch and the state. Nothing is checked here.
     """
-    if len(batch) <= BLOCK_WIDTH:
-        return _forward_block(net.plan, batch, n_aff, state, patch)
-    outs = []
-    for start in range(0, len(batch), BLOCK_WIDTH):
-        out, state = _forward_block(net.plan, batch[start:start + BLOCK_WIDTH],
-                                    max(n_aff - start, 0), state, patch)
-        outs.append(out)
-    return np.concatenate(outs), state
+    if len(batch) > BLOCK_WIDTH:
+        outs = []
+        for start in range(0, len(batch), BLOCK_WIDTH):
+            out, state = _forward_pass(net, batch[start:start + BLOCK_WIDTH],
+                                       max(n_aff - start, 0), state, patch)
+            outs.append(out)
+        return np.concatenate(outs), state
+    plan = net.plan
+    if record := state is None:
+        state = FrozenState(plan)
+    values = [batch]
+    for nid, spec, slots in plan.forward:
+        ins = [values[slots[0]]] if len(slots) == 1 else [values[s] for s in slots]
+        out = spec.apply(nid, ins, n_aff, state, record)
+        values.append(patch[nid](out, ins) if patch and nid in patch else out)
+    return values[plan.out_slot], state
 
 
-def _transposed_block(plan, state, g):
+def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray,
+                     past_head: bool = False) -> np.ndarray:
+    """The transposed engine: A^T applied to a (B, *output_shape) batch
+    of cotangents on the recorded region, walking the graph backwards,
+    in blocks of BLOCK_WIDTH rows. Returns a (B, *input_shape) batch.
+    With past_head, g is the cotangent batch at the output node's one
+    input and the walk starts past the node."""
+    if len(g) > BLOCK_WIDTH:
+        return np.concatenate([_transposed_pass(net, state, g[s:s + BLOCK_WIDTH], past_head)
+                               for s in range(0, len(g), BLOCK_WIDTH)])
+    plan = net.plan.past_head if past_head else net.plan
     cot = [None] * (len(plan.forward) + 1)
     cot[plan.out_slot] = g
     for slot, nid, spec, slots, shapes in plan.transposed:
@@ -592,19 +597,6 @@ def _transposed_block(plan, state, g):
         for s, part in zip(slots, spec.transpose(nid, gn, state, shapes)):
             cot[s] = part if cot[s] is None else cot[s] + part
     return cot[0]  # every node's inputs lead back to the input
-
-
-def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray,
-                     past_head: bool = False) -> np.ndarray:
-    """The transposed engine: A^T applied to a (B, *output_shape) batch
-    of cotangents on the recorded region, walking the graph backwards.
-    Returns a (B, *input_shape) batch. With past_head, g is the cotangent
-    batch at the output node's one input and the walk starts past the node."""
-    plan = net.plan.past_head if past_head else net.plan
-    if len(g) <= BLOCK_WIDTH:
-        return _transposed_block(plan, state, g)
-    return np.concatenate([_transposed_block(plan, state, g[start:start + BLOCK_WIDTH])
-                           for start in range(0, len(g), BLOCK_WIDTH)])
 
 
 def _shaped(a, shape: tuple[int, ...], what: str, of: str) -> np.ndarray:

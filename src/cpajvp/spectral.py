@@ -64,14 +64,14 @@ class LinearProbe:
     Each product takes a vector or a (dim, k) block whose columns are k
     vectors, and counts as k calls, so call counts do not depend on how
     a caller groups its products. With blocks set, the wrapped callables
-    receive a block as is and must return a (dim_out, k) block;
-    otherwise they are called once per column. The two callables must be adjoint to
-    each other; construction spot checks <A u, v> == <u, A^T v> on
-    three seeded random pairs and raises AdjointMismatch when the gap
-    exceeds 1e-11 of the Cauchy-Schwarz scale ||A u|| ||v|| +
-    ||u|| ||A^T v||, or that scale is NaN or inf. The pairs depend only
-    on (dim_in, dim_out) and are drawn once per dims, then cached
-    read-only.
+    receive only (dim, k) blocks, a vector as a one-column block, and
+    must return a (dim_out, k) block; otherwise they are called once per
+    vector or column. The two callables must be adjoint to each other;
+    construction spot checks <A u, v> == <u, A^T v> on three seeded
+    random pairs and raises AdjointMismatch when the gap exceeds 1e-11
+    of the Cauchy-Schwarz scale ||A u|| ||v|| + ||u|| ||A^T v||, or that
+    scale is NaN or inf. The pairs depend only on (dim_in, dim_out) and
+    are drawn once per dims, then cached read-only.
     """
 
     def __init__(self, dim_in: int, dim_out: int,
@@ -102,7 +102,7 @@ class LinearProbe:
             raise ShapeMismatch(f"{name} takes a length-{n_in} vector or an "
                                 f"({n_in}, k) block with k >= 1, got {a.shape}")
         if a.ndim == 1 or self.blocks:
-            out = fn(a)
+            out = fn(a.reshape(n_in, -1) if self.blocks else a)
             check_real(out, f"{name} result")
             out = np.asarray(out, dtype=np.float64)
         else:
@@ -126,13 +126,12 @@ class LinearProbe:
 
 
 def _as_batch(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A vector or the columns of a block as an engine batch."""
-    return a.T.reshape((-1,) + shape) if a.ndim == 2 else a.reshape((1,) + shape)
+    """The columns of a block as an engine batch."""
+    return a.T.reshape((-1,) + shape)
 
 
-def _as_columns(batch: np.ndarray, like: np.ndarray) -> np.ndarray:
-    flat = batch.reshape(len(batch), -1)
-    return flat.T if like.ndim == 2 else flat[0]
+def _as_columns(batch: np.ndarray) -> np.ndarray:
+    return batch.reshape(len(batch), -1).T
 
 
 def probe_from_network(net: Network, x: np.ndarray,
@@ -177,7 +176,7 @@ def probe_from_network(net: Network, x: np.ndarray,
     out, state = _forward_pass(net, batch, 1)
     if check_adjoint:
         atv = _transposed_pass(net, state, _as_batch(pairs[1], out_shape))
-        _check_adjoint(pairs, _as_columns(out[1:], pairs[0]), _as_columns(atv, pairs[1]))
+        _check_adjoint(pairs, _as_columns(out[1:]), _as_columns(atv))
     kept = []  # the region's map A, once built
     wide = math.inf  # rop blocks wider than this read A
     if plan.d_in * plan.d_out <= plan.slice_mults:
@@ -185,16 +184,16 @@ def probe_from_network(net: Network, x: np.ndarray,
 
     def rop(u: np.ndarray) -> np.ndarray:
         check_finite(u, "input")
-        if u.ndim == 2 and u.shape[1] > wide:
+        if u.shape[1] > wide:
             if not kept:
                 kept.append(read_only(narrow_side_slope(net, state))[0])
             return kept[0] @ u
         out, _ = _forward_pass(net, _as_batch(u, in_shape), 0, state)
-        return _as_columns(out, u)
+        return _as_columns(out)
 
     def lop(v: np.ndarray) -> np.ndarray:
         check_finite(v, "cotangent")
-        return _as_columns(_transposed_pass(net, state, _as_batch(v, out_shape)), v)
+        return _as_columns(_transposed_pass(net, state, _as_batch(v, out_shape)))
 
     return LinearProbe(plan.d_in, plan.d_out, rop, lop, check_adjoint=False, blocks=True)
 
@@ -215,11 +214,11 @@ class SpectralResult:
     residuals: tuple[float, ...]
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _start_block(name: str, seed, dim: int, k: int) -> np.ndarray:
-    """The seeded orthonormal (dim, k) block a Krylov run starts from;
-    drawn once per key and shared read-only."""
-    q, _ = qr_householder(keyed_rng(name, seed).standard_normal((dim, k)))
+@functools.lru_cache(maxsize=64)
+def _start_block(name: str, seed_text: str, dim: int, k: int) -> np.ndarray:
+    """The seeded orthonormal (dim, k) block a Krylov run starts from, per
+    ``key_text`` of the seed; drawn once per key and shared read-only."""
+    q, _ = qr_householder(keyed_rng(name, seed_text).standard_normal((dim, k)))
     return read_only(q)[0]
 
 
@@ -331,7 +330,7 @@ def top_k_eigen(probe: LinearProbe, k: int, tol: float = 1e-8,
     _check_iteration_args(k, probe.dim_in, max_iter)
     rop0, lop0 = probe.rop_calls, probe.lop_calls
     basis = _KrylovBasis(probe.dim_in, probe.dim_in, k)
-    basis.append(_start_block("eigen-init", seed, probe.dim_in, k), probe.rop)
+    basis.append(_start_block("eigen-init", key_text(seed), probe.dim_in, k), probe.rop)
     iterations = 0
     residuals = []
     while True:
@@ -379,7 +378,7 @@ def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
     rop0, lop0 = probe.rop_calls, probe.lop_calls
     left = _KrylovBasis(probe.dim_out, probe.dim_in, k)
     right = _KrylovBasis(probe.dim_in, probe.dim_out, k)
-    right.append(_start_block("svd-init", seed, probe.dim_in, k), probe.rop)
+    right.append(_start_block("svd-init", key_text(seed), probe.dim_in, k), probe.rop)
     iterations = 0
     residuals = []
     while True:

@@ -193,18 +193,17 @@ def test_slope_past_a_lone_dense_head_is_a_copy_of_its_weights(flatten, monkeypa
 
 def test_seed_rows_past_a_dense_head_go_through_in_blocks(monkeypatch):
     monkeypatch.setattr("cpajvp.network.BLOCK_WIDTH", 2)
-    blocks, real = [], cpajvp.network._transposed_block
+    blocks, real = [], cpajvp.network._transposed_pass
 
-    def spy(plan, state, g):
-        blocks.append((plan, len(g)))
-        return real(plan, state, g)
+    def spy(net, state, g, past_head=False):  # sees the engine's calls on its blocks
+        blocks.append((past_head, len(g)))
+        return real(net, state, g, past_head)
 
-    monkeypatch.setattr(cpajvp.network, "_transposed_block", spy)
+    monkeypatch.setattr(cpajvp.network, "_transposed_pass", spy)
     net = fixtures.with_dense_head(nets.dense_relu_chain(9, [12, 10, 8], 0.1), 5, seed=9)
     x = np.random.default_rng(9).standard_normal(12)
     probed = materialize_affine_via_rop(net, x)
-    assert [(plan is net.plan.past_head, rows) for plan, rows in blocks] == \
-        [(True, 2), (True, 2), (True, 1)]
+    assert blocks == [(True, 2), (True, 2), (True, 1)]
     walked = [step[1] for step in net.plan.past_head.transposed]
     assert walked == ["act2", "fc2", "act1", "fc1"]
     assert close_to(probed.a, materialize_affine_direct(net, x).a)

@@ -25,7 +25,10 @@ def test_a_tree_dumps_the_same_bytes_twice_and_any_change_is_reported(tmp_path):
         arrays = dict(d)
     assert {"forward", "jvp", "vjp", "clone.0", "jvp_weight", "affine_rop.a",
             "mc-frob.0.0", "svd.0.values", "record.output", "replay_doubled.linear",
-            "replay_doubled.vjp", "replay_leakier", "mc_streamed-frob.0.0"} <= set(arrays)
+            "replay_doubled.vjp", "replay_leakier", "mc_streamed-frob.0.0",
+            "probe_vector.rop", "probe_vector.lop"} <= set(arrays)
+    assert arrays["probe_vector.rop"].shape == (arrays["jvp"].size,)
+    assert arrays["probe_vector.lop"].shape == (arrays["vjp"].size,)
     assert arrays["mc_streamed-frob.1"] == BLOCK_WIDTH + 5
     with np.load(a / "probe-reuse-square0.npz") as d:
         assert d["mc_streamed-trace.1"] == BLOCK_WIDTH + 5

@@ -19,7 +19,7 @@ from cpajvp import fixtures, forward
 from cpajvp.network import BLOCK_WIDTH
 from cpajvp import NonFiniteInput, record_states, spectral
 from cpajvp.network import Dense, _forward_pass, _transposed_pass
-from cpajvp.numerics import keyed_rng
+from cpajvp.numerics import key_text, keyed_rng
 from cpajvp.spectral import _adjoint_check_pairs, _start_block
 from oracles import dense_eig_symmetric, dense_svd
 
@@ -111,7 +111,7 @@ def test_cached_check_pairs_and_start_blocks_are_read_only():
     u, v, u_norm, v_norm = _adjoint_check_pairs(5, 3)
     assert u.shape == (5, 3) and v.shape == (3, 3)
     assert np.array_equal(u_norm, np.linalg.norm(u, axis=0))
-    block = _start_block("eigen-init", 0, 6, 2)
+    block = _start_block("eigen-init", key_text(0), 6, 2)
     assert not block.flags.writeable
     with pytest.raises(ValueError):
         block[0, 0] = 1.0
@@ -119,7 +119,22 @@ def test_cached_check_pairs_and_start_blocks_are_read_only():
     # a run leaves the shared block as it was
     before = block.copy()
     top_k_eigen(matrix_probe(gapped_symmetric(3, 6)[0]), 2, seed=0)
-    assert np.array_equal(_start_block("eigen-init", 0, 6, 2), before)
+    assert np.array_equal(_start_block("eigen-init", key_text(0), 6, 2), before)
+
+
+@pytest.mark.parametrize("run", [top_k_eigen, top_k_svd])
+def test_krylov_start_blocks_are_keyed_by_the_seed_text(run):
+    # the seeds the estimators' keyed streams accept, with the same streams
+    p = matrix_probe(gapped_symmetric(3, 6)[0])
+    _start_block.cache_clear()
+    want = run(p, 2, max_iter=2, seed=1)
+    for seed in (np.int64(1), np.array(1)):
+        assert_same_result(run(p, 2, max_iter=2, seed=seed), want)
+    assert _start_block.cache_info().currsize == 1
+    firsts = {run(p, 2, max_iter=2, seed=seed).residuals[0] for seed in (1, 1.0, True)}
+    assert len(firsts) == 3 and _start_block.cache_info().currsize == 3
+    with pytest.raises(ValueError, match="cannot be an array"):
+        run(p, 2, seed=np.array([1]))
 
 
 def test_self_check_accepts_a_near_orthogonal_pair():
@@ -199,6 +214,28 @@ def test_block_probe_rejects_a_batch_first_result():
     assert p.rop(np.ones(6)).shape == (4,)
     with pytest.raises(ShapeMismatch, match="returned shape"):
         p.rop(np.ones((6, 3)))
+
+
+def test_block_callables_get_blocks_and_a_vector_is_a_one_column_block():
+    def spied(fn):
+        def call(a):
+            seen.append(a.ndim)
+            return fn(a)
+        return call
+
+    seen = []
+    m = np.random.default_rng(9).standard_normal((4, 6))
+    matrix = LinearProbe(6, 4, spied(lambda u: m @ u), spied(lambda v: m.T @ v), blocks=True)
+    network = probe_from_network(*fixtures.generate("cnn", 1))
+    network._rop, network._lop = spied(network._rop), spied(network._lop)
+    rng = np.random.default_rng(10)
+    for p in (matrix, network):
+        for product, dim in ((p.rop, p.dim_in), (p.lop, p.dim_out)):
+            a = rng.standard_normal(dim)
+            got = product(a)
+            assert got.shape == (p.dim_out if dim == p.dim_in else p.dim_in,)
+            assert np.array_equal(got, product(a[:, None])[:, 0])
+    assert seen == [2] * 10  # the matrix probe's self-check, then 4 products a probe
 
 
 def test_network_probe_wraps_jvp_and_vjp():

@@ -10,9 +10,10 @@ op kind of the benchmark, plus the recorded decisions, the two other
 product strategies and the replay of a recorded state on two copies of
 the network (``replay_doubled``: Dense and Conv2D weights doubled;
 ``replay_leakier``: every activation's leakiness raised by 0.25, which
-the library refuses), on the five fixture families at seeds 0-3 and
-scales 1-2 and on every benchmark network, each at inputs drawn from a
-generator keyed by the network's and the kind's names. The networks in
+the library refuses), and the vector ``rop`` and ``lop`` of a checked
+network probe (``probe_vector``), on the five fixture families at seeds
+0-3 and scales 1-2 and on every benchmark network, each at inputs drawn
+from a generator keyed by the network's and the kind's names. The networks in
 ``STREAMED`` also get an estimate of ``BLOCK_WIDTH + 5`` samples, two
 sample blocks, from the estimators named there (``mc_streamed``). Each
 network's outputs go to one ``.npz`` file, one array per output field; a call
@@ -42,7 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_SEEDS = range(4)
 FIXTURE_SCALES = (1, 2)
 FIXTURE_MC_SAMPLES = 200
-EXTRA_KINDS = ("record", "double_vjp", "batch_jacobian", "replay_doubled", "replay_leakier")
+EXTRA_KINDS = ("record", "double_vjp", "batch_jacobian", "replay_doubled", "replay_leakier",
+               "probe_vector")
 # Estimators whose samples stream through more than one block, the path an
 # estimator's memo of its last single-block draw leaves alone. No fixture
 # network is square, so trace runs on a benchmark one.
@@ -124,6 +126,10 @@ def outputs(wl, name: str, net, kinds, mc_samples: int) -> dict:
                 value = {"affine": cpajvp.frozen_forward(copy, state, inp["u"]),
                          "linear": cpajvp.frozen_forward(copy, state, inp["u"], "linear"),
                          "vjp": cpajvp.frozen_vjp(copy, state, v)}
+            elif kind == "probe_vector":
+                probe = cpajvp.probe_from_network(net, inp["x"])
+                value = {"rop": probe.rop(inp["u"].reshape(-1)),
+                         "lop": probe.lop(rng.standard_normal(probe.dim_out))}
             elif kind == "mc_streamed":
                 value = wl.call("mc", net, est, inp, cpajvp.network.BLOCK_WIDTH + 5, 0)
             else:
