@@ -193,12 +193,11 @@ def narrow_side_slope(net: Network, state: FrozenState) -> np.ndarray:
     """The slope A (d_out, d_in) of the region recorded in state, from the
     narrow side of the map.
 
-    When d_out < d_in one transposed pass over the rows of I_{d_out}
-    gives the rows of A (reverse mode); if the output node is Dense, the
-    pass starts one step past it, on the rows of its weights W (what
-    that step makes of I_{d_out}), which saves d_out² · (W's d_in)
-    multiply-adds. For finite W the bits are the identity walk's, but
-    that I W usually turns a -0.0 of W into +0.0. A never shares memory
+    When d_out < d_in one transposed pass gives the rows of A (reverse
+    mode). Its seed is I_{d_out}, or a Dense output node's weights W,
+    which a hook passes on past the node's step: that saves d_out² ·
+    (W's d_in) multiply-adds and, for finite W, keeps the bits of I W
+    but for a -0.0 of W, which I W makes +0.0. A never shares memory
     with W. Otherwise one linear forward pass over the rows of I_{d_in}
     gives the columns of A (forward mode). Either way the seed holds at
     most min(d_in, d_out) rows, and A is never the difference of two
@@ -208,9 +207,11 @@ def narrow_side_slope(net: Network, state: FrozenState) -> np.ndarray:
     d_in, d_out = plan.d_in, plan.d_out
     if d_out < d_in:
         head = plan.by_id[net.output].layer
-        dense = isinstance(head, Dense)
-        seed = head.weights if dense else np.eye(d_out).reshape((d_out,) + plan.out_shape)
-        rows = _transposed_pass(net, state, seed, past_head=dense).reshape(d_out, d_in)
+        if isinstance(head, Dense):  # skip the head: its step makes W of I_{d_out}
+            seed, hook = head.weights, lambda nid, spec, g: [g] if nid == net.output else None
+        else:
+            seed, hook = np.eye(d_out).reshape((d_out,) + plan.out_shape), None
+        rows = _transposed_pass(net, state, seed, hook).reshape(d_out, d_in)
         return rows.copy() if np.may_share_memory(rows, seed) else rows
     out, _ = _forward_pass(net, np.eye(d_in).reshape((d_in,) + net.input_shape), 0, state)
     return np.ascontiguousarray(out.reshape(d_in, d_out).T)
@@ -223,10 +224,9 @@ def materialize_affine_via_rop(net: Network, x: np.ndarray,
     One recording pass carries x as slice 0, which decides the region,
     and a zero input as slice 1; the additive terms reach these two
     slices only, so slice 1 comes out as b. When d_out < d_in A comes
-    from ``narrow_side_slope`` on that pass's state: rows through one
-    transposed pass, which starts past a Dense output node on its
-    weights. Otherwise the rows of I_{d_in} ride behind [x; 0] in the
-    recording pass, linear, and come out as the columns of A.
+    from ``narrow_side_slope`` on that pass's state. Otherwise the rows
+    of I_{d_in} ride behind [x; 0] in the recording pass, linear, and
+    come out as the columns of A.
 
     The region is the one slice 0 of that batch decides: where a
     pre-activation at x is within rounding of 0 it can be the

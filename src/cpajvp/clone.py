@@ -94,9 +94,10 @@ def jvp_weight(net: Network, x: np.ndarray, node_id: str,
 
     With the region frozen, the output is linear in the node's weight,
     so the product is one clone pass over [x, 0]: slice 0 records the
-    region, and at the target node slice 1 becomes U applied, with no
-    bias, to the node's input on slice 0. Downstream, slice 1 is linear,
-    and branches that bypass the target carry zeros. The region is slice
+    region, and the engine's hook runs the target's own step (Dense and
+    Conv2D read no state), then sets slice 1 to U applied, with no bias,
+    to the node's input on slice 0. Downstream, slice 1 is linear, and
+    branches that bypass the target carry zeros. The region is slice
     0's; at a pre-activation within rounding of 0 it may differ from
     record_states' region at x alone.
     """
@@ -111,12 +112,12 @@ def jvp_weight(net: Network, x: np.ndarray, node_id: str,
                          f"node {node_id!r} weights")
     tangent = replace(target.layer, **{name: direction})
 
-    def add_tangent(out, ins):
-        out[1:] = tangent.apply(node_id, [ins[0][:1]], 0, None, False)
-        return out
+    def add_tangent(nid, spec, ins):
+        if nid == node_id:
+            out = spec.apply(nid, ins, 1, None, False)
+            out[1:] = tangent.apply(nid, [ins[0][:1]], 0, None, False)
+            return out
 
     x = _single(net, x)
-    out, _ = _forward_pass(net, np.concatenate([x, np.zeros_like(x)]), 1,
-                           patch={node_id: add_tangent})
+    out, _ = _forward_pass(net, np.concatenate([x, np.zeros_like(x)]), 1, hook=add_tangent)
     return out[1]
-

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -415,12 +415,6 @@ class Plan:
     transposed: tuple[tuple, ...]
     out_slot: int
 
-    @functools.cached_property
-    def past_head(self) -> Plan:
-        """This plan with its transposed walk one step past the output node."""
-        head = self.transposed[0]
-        return replace(self, transposed=self.transposed[1:], out_slot=head[3][0])
-
 
 @dataclass(frozen=True)
 class Network:
@@ -548,24 +542,23 @@ class FrozenState:
 
 def _forward_pass(net: Network, batch: np.ndarray, n_aff: int,
                   state: FrozenState | None = None,
-                  patch: dict | None = None) -> tuple[np.ndarray, FrozenState]:
+                  hook=None) -> tuple[np.ndarray, FrozenState]:
     """The forward engine: push a (B, *input_shape) batch through the graph.
 
     Additive terms reach the first n_aff slices only, so a slice outside
     them comes out as the frozen linear map of its input. With state
     None the nonlinearity decisions are taken from slice 0 and recorded
     into the returned state; otherwise the given state is replayed.
-    ``patch`` maps node ids to functions (output batch, input batches)
-    -> output batch, run right after the node's layer; callers that
-    patch pass at most BLOCK_WIDTH slices, since a wider batch goes
-    through in blocks of that width. Returns the (B, *output_shape)
-    batch and the state. Nothing is checked here.
+    ``hook(nid, spec, ins)``, if given, runs before each step on its
+    input batches, at most BLOCK_WIDTH slices; a result other than None
+    is the step's output, and the step is skipped. Returns the
+    (B, *output_shape) batch and the state. Nothing is checked here.
     """
     if len(batch) > BLOCK_WIDTH:
         outs = []
         for start in range(0, len(batch), BLOCK_WIDTH):
             out, state = _forward_pass(net, batch[start:start + BLOCK_WIDTH],
-                                       max(n_aff - start, 0), state, patch)
+                                       max(n_aff - start, 0), state, hook)
             outs.append(out)
         return np.concatenate(outs), state
     plan = net.plan
@@ -574,27 +567,29 @@ def _forward_pass(net: Network, batch: np.ndarray, n_aff: int,
     values = [batch]
     for nid, spec, slots in plan.forward:
         ins = [values[slots[0]]] if len(slots) == 1 else [values[s] for s in slots]
-        out = spec.apply(nid, ins, n_aff, state, record)
-        values.append(patch[nid](out, ins) if patch and nid in patch else out)
+        if hook is None or (out := hook(nid, spec, ins)) is None:
+            out = spec.apply(nid, ins, n_aff, state, record)
+        values.append(out)
     return values[plan.out_slot], state
 
 
-def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray,
-                     past_head: bool = False) -> np.ndarray:
+def _transposed_pass(net: Network, state: FrozenState, g: np.ndarray, hook=None) -> np.ndarray:
     """The transposed engine: A^T applied to a (B, *output_shape) batch
     of cotangents on the recorded region, walking the graph backwards,
     in blocks of BLOCK_WIDTH rows. Returns a (B, *input_shape) batch.
-    With past_head, g is the cotangent batch at the output node's one
-    input and the walk starts past the node."""
+    ``hook(nid, spec, g)`` is the forward engine's, on each node's
+    cotangent batch g; a result is the list of the inputs' cotangents."""
     if len(g) > BLOCK_WIDTH:
-        return np.concatenate([_transposed_pass(net, state, g[s:s + BLOCK_WIDTH], past_head)
+        return np.concatenate([_transposed_pass(net, state, g[s:s + BLOCK_WIDTH], hook)
                                for s in range(0, len(g), BLOCK_WIDTH)])
-    plan = net.plan.past_head if past_head else net.plan
+    plan = net.plan
     cot = [None] * (len(plan.forward) + 1)
     cot[plan.out_slot] = g
     for slot, nid, spec, slots, shapes in plan.transposed:
         gn, cot[slot] = cot[slot], None
-        for s, part in zip(slots, spec.transpose(nid, gn, state, shapes)):
+        if hook is None or (parts := hook(nid, spec, gn)) is None:
+            parts = spec.transpose(nid, gn, state, shapes)
+        for s, part in zip(slots, parts):
             cot[s] = part if cot[s] is None else cot[s] + part
     return cot[0]  # every node's inputs lead back to the input
 

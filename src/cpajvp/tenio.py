@@ -10,6 +10,7 @@ directory. The reserved id "input" names the network input.
 from __future__ import annotations
 
 import json
+import operator
 import re
 import struct
 from pathlib import Path
@@ -262,6 +263,8 @@ def _layer_doc(lay, nid: str, store) -> dict:
             v = store(key, v)
         elif kind == "pair":
             v = [int(v), int(v)] if np.isscalar(v) else [int(v[0]), int(v[1])]
+        elif kind in ("int", "number") and isinstance(v, np.generic):
+            v = v.item()  # the number a numpy scalar holds, which json can write
         elif kind == "mode":
             v = "training" if v else "inference"
         doc[key] = v
@@ -274,11 +277,11 @@ def save_network(net: Network, directory, weights: str = "files") -> Path:
     Output bytes are deterministic for a given network. A weight file is
     <id>_<key>.ten, each id character outside [A-Za-z0-9_.-] made "_";
     while that name, ignoring case, is taken by an earlier file, the
-    node's index in net.nodes is appended to the id part."""
+    node's index in net.nodes is appended to the id part. A network that
+    cannot be written leaves no file."""
     if weights not in ("files", "inline"):
         raise ValueError(f"weights must be 'files' or 'inline', got {weights!r}")
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     pending: dict[str, np.ndarray] = {}
     taken: set[str] = set()
     nodes = []
@@ -298,9 +301,11 @@ def save_network(net: Network, directory, weights: str = "files") -> Path:
 
         nodes.append({"id": n.id, "layer": _layer_doc(n.layer, n.id, store),
                       "inputs": list(n.inputs)})
-    doc = {"input_shape": list(net.input_shape), "nodes": nodes, "output": net.output}
+    text = json.dumps({"input_shape": list(map(operator.index, net.input_shape)),
+                       "nodes": nodes, "output": net.output}, indent=1, sort_keys=True) + "\n"
+    directory.mkdir(parents=True, exist_ok=True)
     for fname, arr in pending.items():
         write_tensor(directory / fname, arr)
     path = directory / "net.json"
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    path.write_text(text)
     return path

@@ -48,37 +48,49 @@ def test_direct_and_probe_built_maps_agree():
         assert np.max(np.abs(direct.b - probed.b)) <= 1e-12 * (1.0 + np.max(np.abs(direct.b)))
 
 
+def spy_dense_transpose(monkeypatch) -> list:
+    """The node ids Dense.transpose runs for, in order."""
+    real, calls = Dense.transpose, []
+    monkeypatch.setattr(Dense, "transpose",
+                        lambda self, nid, *args: calls.append(nid) or real(self, nid, *args))
+    return calls
+
+
 @pytest.mark.parametrize("mode", ["reverse", "forward"])
 @pytest.mark.parametrize("arch", fixtures.ARCHITECTURES)
 def test_probe_takes_the_narrow_side(arch, mode, monkeypatch):
     # reverse: one recording pass over [x, 0], then one transposed walk
-    # over d_out rows, which starts past the Dense head on its weights;
+    # seeded with the Dense head's weights, whose step never runs;
     # forward: one pass over [x, 0, I] and no transposed pass. A cap of 3
     # slices splits every pass wider than that into blocks
     monkeypatch.setattr("cpajvp.network.BLOCK_WIDTH", 3)
-    passes = []
+    passes, seeds = [], []
 
     def spy(name, rows):
         real = getattr(cpajvp.affine, name)
 
         def counted(*args, **kwargs):
-            passes.append((name, len(rows(args)), kwargs.get("past_head", False)))
+            passes.append((name, len(rows(args))))
+            seeds.append(rows(args))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cpajvp.affine, name, counted)
 
     spy("_forward_pass", lambda args: args[1])
     spy("_transposed_pass", lambda args: args[2])
+    transposed = spy_dense_transpose(monkeypatch)
     net, x = headed(arch, 5, mode)
     direct = materialize_affine_direct(net, x)
     d_out, d_in = direct.a.shape
     probed = materialize_affine_via_rop(net, x)
     if mode == "reverse":
         assert d_out < d_in
-        assert passes == [("_forward_pass", 2, False), ("_transposed_pass", d_out, True)]
+        assert passes == [("_forward_pass", 2), ("_transposed_pass", d_out)]
+        assert seeds[1] is net.plan.by_id[net.output].layer.weights
+        assert net.output not in transposed
     else:
         assert d_out >= d_in
-        assert passes == [("_forward_pass", d_in + 2, False)]
+        assert passes == [("_forward_pass", d_in + 2)]
     assert np.max(np.abs(probed.a - direct.a)) <= 1e-9 * (1.0 + np.max(np.abs(direct.a)))
     assert np.max(np.abs(probed.b - direct.b)) <= 1e-12 * (1.0 + np.max(np.abs(direct.b)))
 
@@ -195,17 +207,27 @@ def test_seed_rows_past_a_dense_head_go_through_in_blocks(monkeypatch):
     monkeypatch.setattr("cpajvp.network.BLOCK_WIDTH", 2)
     blocks, real = [], cpajvp.network._transposed_pass
 
-    def spy(net, state, g, past_head=False):  # sees the engine's calls on its blocks
-        blocks.append((past_head, len(g)))
-        return real(net, state, g, past_head)
+    def spy(net, state, g, hook=None):  # sees the engine's calls on its blocks
+        walked = []
+
+        def seen(nid, spec, gn):
+            walked.append(nid)
+            return hook(nid, spec, gn)
+
+        blocks.append((g, walked))
+        return real(net, state, g, seen)
 
     monkeypatch.setattr(cpajvp.network, "_transposed_pass", spy)
+    transposed = spy_dense_transpose(monkeypatch)
     net = fixtures.with_dense_head(nets.dense_relu_chain(9, [12, 10, 8], 0.1), 5, seed=9)
     x = np.random.default_rng(9).standard_normal(12)
     probed = materialize_affine_via_rop(net, x)
-    assert blocks == [(True, 2), (True, 2), (True, 1)]
-    walked = [step[1] for step in net.plan.past_head.transposed]
-    assert walked == ["act2", "fc2", "act1", "fc1"]
+    assert [len(g) for g, _ in blocks] == [2, 2, 1]
+    assert np.array_equal(np.concatenate([g for g, _ in blocks]),
+                          net.plan.by_id["sweep_head"].layer.weights)
+    walk = ["sweep_head", "act2", "fc2", "act1", "fc1"]
+    assert [walked for _, walked in blocks] == [walk] * 3
+    assert transposed == ["fc2", "fc1"] * 3
     assert close_to(probed.a, materialize_affine_direct(net, x).a)
 
 
@@ -222,9 +244,9 @@ def test_nets_that_end_in_an_activation_keep_the_identity_walk(monkeypatch):
     # designed eigen and rect nets) all end in an Activation
     walks, real = [], cpajvp.affine._transposed_pass
 
-    def spy(net, state, g, past_head=False):
-        walks.append((past_head, g.copy()))
-        return real(net, state, g, past_head)
+    def spy(net, state, g, hook=None):
+        walks.append((hook, g.copy()))
+        return real(net, state, g, hook)
 
     monkeypatch.setattr(cpajvp.affine, "_transposed_pass", spy)
     groups = _workloads().build_probe_reuse().values()
@@ -238,7 +260,7 @@ def test_nets_that_end_in_an_activation_keep_the_identity_walk(monkeypatch):
         d_out, d_in = probed.a.shape
         if d_out < d_in:
             reverse.append(name)
-            assert len(walks) == 1 and walks[0][0] is False, name
+            assert len(walks) == 1 and walks[0][0] is None, name
             assert np.array_equal(walks[0][1].reshape(d_out, -1), np.eye(d_out)), name
         else:
             assert walks == [], name

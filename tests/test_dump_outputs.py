@@ -1,10 +1,12 @@
 """tools/dump_outputs.py: two dumps of one tree compare equal, and a
-flipped sign of zero, a changed value or a missing file is reported."""
+flipped sign of zero, a changed value or a missing file is reported;
+``jvp_weight_each`` holds one array per weighted node."""
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
+from cpajvp import Conv2D, Dense, fixtures
 from cpajvp.network import BLOCK_WIDTH
 
 spec = importlib.util.spec_from_file_location(
@@ -27,6 +29,14 @@ def test_a_tree_dumps_the_same_bytes_twice_and_any_change_is_reported(tmp_path):
             "mc-frob.0.0", "svd.0.values", "record.output", "replay_doubled.linear",
             "replay_doubled.vjp", "replay_leakier", "mc_streamed-frob.0.0",
             "probe_vector.rop", "probe_vector.lop"} <= set(arrays)
+    for arch, kind in (("mlp", Dense), ("cnn", Conv2D)):  # one array per Dense or Conv2D node
+        nodes = fixtures.generate(arch, 0, 1)[0].nodes
+        assert any(isinstance(n.layer, kind) for n in nodes)
+        weighted = {f"jvp_weight_each.{n.id}" for n in nodes
+                    if isinstance(n.layer, (Dense, Conv2D))}
+        with np.load(a / f"fixture-{arch}-s0-x1.npz") as d:
+            assert {k for k in d if k.startswith("jvp_weight_each")} == weighted
+            assert all(d[k].shape == d["jvp"].shape for k in weighted)
     assert arrays["probe_vector.rop"].shape == (arrays["jvp"].size,)
     assert arrays["probe_vector.lop"].shape == (arrays["vjp"].size,)
     assert arrays["mc_streamed-frob.1"] == BLOCK_WIDTH + 5

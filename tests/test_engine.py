@@ -1,17 +1,20 @@
-"""The compiled engine walks and the Concat and MaxPool adjoints.
+"""The compiled engine walks, their per-node hook, and the Concat and
+MaxPool adjoints.
 
 The adjoints are checked bit for bit against their former formulas,
 written out here (np.split at np.cumsum bounds; the np.arange offset
 grid), and for adjointness against materialize_affine_direct. The walks
-are checked against the former dict walk, written out here too.
+are checked against the former dict walk, written out here too. A hook
+that returns None changes no bit, runs once per node and block, and
+reads what a weight gradient needs.
 """
 import numpy as np
 import pytest
 
 import nets
 from cpajvp import (Activation, Add, Concat, Conv2D, Dense, Flatten, MaxPool,
-                    Network, Node, fixtures, jvp_input, materialize_affine_direct,
-                    record_states, vjp_input)
+                    Network, Node, fixtures, jvp_input, jvp_weight,
+                    materialize_affine_direct, record_states, vjp_input)
 from cpajvp.network import _forward_pass, _transposed_pass
 
 ROWS = (1, 4)  # cotangent batches of one row and of several
@@ -186,7 +189,7 @@ def test_steps_hold_specs_so_a_class_patch_reaches_a_built_plan(monkeypatch):
     assert np.array_equal(jvp_input(net, x, np.ones(4)), 2.0 * tangent)
 
 
-def test_the_transposed_program_skips_nodes_that_miss_the_output(monkeypatch):
+def test_the_transposed_program_skips_nodes_that_miss_the_output():
     base = nets.dense_relu_chain(7, [4, 3, 2], 0.1)
     # a branch off act1 that nothing reads, and a node after the output
     nodes = base.nodes[:2] + (Node("side", Dense(np.ones((2, 3)), np.zeros(2)), ("act1",)),) \
@@ -198,9 +201,94 @@ def test_the_transposed_program_skips_nodes_that_miss_the_output(monkeypatch):
     _, state = record_states(net, x)
     assert set(state.sign_masks) == {"act1", "act2", "tail"}  # every node records
     want = dict_walk(net, state, v[None])[0]
-    calls = []
-    transpose = Dense.transpose
-    monkeypatch.setattr(Dense, "transpose",
-                        lambda self, nid, *args: calls.append(nid) or transpose(self, nid, *args))
+    walked = []
+    got = _transposed_pass(net, state, v[None], lambda nid, spec, g: walked.append(nid))
+    assert walked == ["fc2", "act1", "fc1"]
+    assert np.array_equal(got[0], want)
     assert np.array_equal(vjp_input(net, x, v), want)
-    assert calls == ["fc2", "fc1"]
+
+
+# ---------------------------------------------------------------------------
+# the per-node hook
+
+FAMILIES = [(arch, seed) for arch in fixtures.ARCHITECTURES for seed in range(4)]
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("arch,seed", FAMILIES)
+def test_an_observer_hook_leaves_every_pass_bitwise_equal(arch, seed):
+    net, x = fixtures.generate(arch, seed, scale=2)
+    rng = np.random.default_rng(seed)
+    batch = np.concatenate([x[None], rng.standard_normal((3,) + x.shape)])
+    g = rng.standard_normal((3,) + net.plan.out_shape)
+    seen = []
+
+    def observe(nid, spec, arg):
+        seen.append(nid)
+
+    out, state = _forward_pass(net, batch, 1)
+    out_seen, state_seen = _forward_pass(net, batch, 1, hook=observe)
+    assert_same_bits(out_seen, out)
+    for store in ("sign_masks", "argmax_indices", "keep_masks", "factors"):
+        ours, theirs = getattr(state_seen, store), getattr(state, store)
+        assert ours.keys() == theirs.keys()
+        for nid in ours:
+            assert_same_bits(ours[nid], theirs[nid])
+    for n_aff in (0, 1):  # linear and affine replays
+        assert_same_bits(_forward_pass(net, batch, n_aff, state, observe)[0],
+                         _forward_pass(net, batch, n_aff, state)[0])
+    assert_same_bits(_transposed_pass(net, state, g, observe), _transposed_pass(net, state, g))
+    walks = [step[0] for step in net.plan.forward] * 3 + [step[1] for step in net.plan.transposed]
+    assert seen == walks
+
+
+@pytest.mark.parametrize("arch", fixtures.ARCHITECTURES)
+def test_a_hook_runs_once_per_node_and_block_and_sees_at_most_a_block(arch, monkeypatch):
+    monkeypatch.setattr("cpajvp.network.BLOCK_WIDTH", 3)
+    net, x = fixtures.generate(arch, 0, scale=2)
+    rng = np.random.default_rng(1)
+    calls = []
+
+    def observe(nid, spec, arg):  # a list of input batches, or a cotangent batch
+        widths = {len(part) for part in arg} if isinstance(arg, list) else {len(arg)}
+        calls.append((nid, *widths))
+
+    batch = np.concatenate([x[None], rng.standard_normal((7,) + x.shape)])
+    _, state = _forward_pass(net, batch, 1, hook=observe)
+    assert calls == [(step[0], w) for w in (3, 3, 2) for step in net.plan.forward]
+    calls.clear()
+    _transposed_pass(net, state, rng.standard_normal((7,) + net.plan.out_shape), observe)
+    assert calls == [(step[1], w) for w in (3, 3, 1) for step in net.plan.transposed]
+
+
+@pytest.mark.parametrize("arch,seed", FAMILIES)
+def test_weight_gradients_from_the_two_hooks_are_adjoint_to_jvp_weight(arch, seed):
+    # the forward hook keeps each Dense node's input on slice 0 of the
+    # [x; 0] pass that jvp_weight records, the transposed hook its
+    # cotangent g; then <g^T in, U> = <v, jvp_weight(x, n, U)>
+    net, x = fixtures.generate(arch, seed, scale=2)
+    dense = {n.id for n in net.nodes if isinstance(n.layer, Dense)}
+    inputs, cots = {}, {}
+
+    def keep_input(nid, spec, ins):
+        if nid in dense:
+            inputs[nid] = ins[0][0].copy()
+
+    def keep_cotangent(nid, spec, g):
+        if nid in dense:
+            cots[nid] = g[0].copy()
+
+    _, state = _forward_pass(net, np.stack([x, np.zeros_like(x)]), 1, hook=keep_input)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(net.plan.out_shape)
+    _transposed_pass(net, state, v[None], keep_cotangent)
+    assert dense and inputs.keys() == cots.keys() == dense
+    for nid in sorted(dense):
+        dw = np.outer(cots[nid], inputs[nid])
+        u = rng.standard_normal(dw.shape)
+        jw = jvp_weight(net, x, nid, u)
+        scale = np.linalg.norm(dw) * np.linalg.norm(u) + np.linalg.norm(v) * np.linalg.norm(jw)
+        assert abs(np.vdot(dw, u) - np.vdot(v, jw)) <= 1e-12 * scale, nid

@@ -1,12 +1,13 @@
 import json
 import struct
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from cpajvp import (NetworkSchemaError, NonFiniteInput, TensorFormatError,
-                    fixtures, forward, parse_network, read_tensor, save_network,
-                    write_tensor)
+from cpajvp import (Activation, Concat, Dense, Dropout, Network, NetworkSchemaError, Node,
+                    NonFiniteInput, TensorFormatError, fixtures, forward, parse_network,
+                    read_tensor, save_network, write_tensor)
 from cpajvp.tenio import MAGIC
 
 
@@ -182,6 +183,51 @@ def test_save_parse_round_trip_both_weight_modes(tmp_path):
             save_network(net, d, weights=mode)
             back = parse_network(d / "net.json")
             assert np.array_equal(forward(back, x), forward(net, x)), (arch, mode)
+
+
+def _scalar_field_net(case):
+    """A 4 -> 3 Dense stem and one layer whose scalar field is a numpy
+    scalar ("shape": the input shape is), or, for "decimal-seed", a
+    number that JSON cannot hold."""
+    rng = np.random.default_rng(7)
+    dense = lambda: Dense(rng.standard_normal((3, 4)), rng.standard_normal(3))
+    nodes = [Node("fc", dense(), ("input",))]
+    if case == "concat":
+        nodes += [Node("fc_b", dense(), ("input",)),
+                  Node("top", Concat(np.int64(0)), ("fc", "fc_b"))]
+    else:
+        layer = {"dropout": Dropout(0.3, True, np.int64(3)),
+                 "decimal-seed": Dropout(0.3, True, Decimal(3)),
+                 "activation": Activation(np.float32(0.1)), "shape": Activation(0.2)}[case]
+        nodes.append(Node("top", layer, ("fc",)))
+    return Network((np.int64(4),) if case == "shape" else (4,), nodes, "top")
+
+
+@pytest.mark.parametrize("case", ["dropout", "concat", "activation", "shape"])
+@pytest.mark.parametrize("mode", ["files", "inline"])
+def test_numpy_scalar_fields_round_trip(tmp_path, case, mode):
+    net = _scalar_field_net(case)
+    x = np.linspace(-1.0, 1.0, 4)
+    save_network(net, tmp_path, weights=mode)
+    back = parse_network(tmp_path / "net.json")
+    assert forward(back, x).tobytes() == forward(net, x).tobytes()
+    doc = json.loads((tmp_path / "net.json").read_text())
+    assert doc["input_shape"] == [4]
+    assert {k: v for k, v in doc["nodes"][-1]["layer"].items() if k != "type"} == {
+        "dropout": {"rate": 0.3, "mode": "training", "seed": 3}, "concat": {"axis": 0},
+        "activation": {"leakiness": float(np.float32(0.1))},
+        "shape": {"leakiness": 0.2}}[case]
+
+
+def test_a_network_that_cannot_be_saved_leaves_no_file(tmp_path):
+    net = _scalar_field_net("decimal-seed")
+    forward(net, np.ones(4))  # it runs
+    with pytest.raises(TypeError):
+        save_network(net, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(TypeError):
+        save_network(net, tmp_path)  # a directory that exists gets no weight file
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_is_deterministic(tmp_path):

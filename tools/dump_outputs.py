@@ -10,8 +10,10 @@ op kind of the benchmark, plus the recorded decisions, the two other
 product strategies and the replay of a recorded state on two copies of
 the network (``replay_doubled``: Dense and Conv2D weights doubled;
 ``replay_leakier``: every activation's leakiness raised by 0.25, which
-the library refuses), and the vector ``rop`` and ``lop`` of a checked
-network probe (``probe_vector``), on the five fixture families at seeds
+the library refuses), the vector ``rop`` and ``lop`` of a checked
+network probe (``probe_vector``) and ``jvp_weight`` at every Dense and
+Conv2D node, one array per node (``jvp_weight_each``; the ``jvp_weight``
+kind targets the first only), on the five fixture families at seeds
 0-3 and scales 1-2 and on every benchmark network, each at inputs drawn
 from a generator keyed by the network's and the kind's names. The networks in
 ``STREAMED`` also get an estimate of ``BLOCK_WIDTH + 5`` samples, two
@@ -44,7 +46,7 @@ FIXTURE_SEEDS = range(4)
 FIXTURE_SCALES = (1, 2)
 FIXTURE_MC_SAMPLES = 200
 EXTRA_KINDS = ("record", "double_vjp", "batch_jacobian", "replay_doubled", "replay_leakier",
-               "probe_vector")
+               "probe_vector", "jvp_weight_each")
 # Estimators whose samples stream through more than one block, the path an
 # estimator's memo of its last single-block draw leaves alone. No fixture
 # network is square, so trace runs on a benchmark one.
@@ -130,6 +132,12 @@ def outputs(wl, name: str, net, kinds, mc_samples: int) -> dict:
                 probe = cpajvp.probe_from_network(net, inp["x"])
                 value = {"rop": probe.rop(inp["u"].reshape(-1)),
                          "lop": probe.lop(rng.standard_normal(probe.dim_out))}
+            elif kind == "jvp_weight_each":
+                value = {}
+                for n in net.nodes:
+                    if isinstance(n.layer, (cpajvp.Dense, cpajvp.Conv2D)):
+                        u = rng.standard_normal(getattr(n.layer, n.layer.weight_field).shape)
+                        value[n.id] = cpajvp.jvp_weight(net, inp["x"], n.id, u)
             elif kind == "mc_streamed":
                 value = wl.call("mc", net, est, inp, cpajvp.network.BLOCK_WIDTH + 5, 0)
             else:
