@@ -408,38 +408,33 @@ def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
                           residuals=tuple(residuals))
 
 
-# stream -> ((key_text(seed), dim, n_samples), block) of the estimator's last
-# single-block call. Threads need no lock: a call keeps the pair it read
-# or drew, so a race can only cost another call a redraw.
-_last_blocks: dict[str, tuple] = {}
+# stream -> (key_text(seed), the first values of its keyed stream). No lock:
+# a call keeps the pair it read or drew, so a race only costs a redraw.
+_prefixes: dict[str, tuple[str, np.ndarray]] = {}
 
 
 def _mc_estimate(probe: LinearProbe, n_samples: int, stream: str, seed, draw,
                  form) -> tuple[float, float]:
-    """Mean and stderr, by np.mean's formulas, of n_samples samples form(u, A u).
-    The read-only blocks u of k <= BLOCK_WIDTH directions as rows are
-    draw(rng, k, dim) in turn from rng = keyed_rng(stream, seed). A call of
-    one block keeps it in _last_blocks and takes it from there when the
-    stream's next call repeats the key; the key holds the seed as
-    keyed_rng reads it, key_text(seed), so seeds 1 and 1.0 stay two
-    streams and an array seed raises before the memo is read."""
+    """Mean and stderr, by np.mean's formulas, of n_samples samples form(u, A u),
+    u the read-only blocks of k <= BLOCK_WIDTH rows that draw(rng, m) fills from
+    rng = keyed_rng(stream, seed), m values at a time. One block reads the stream's
+    prefix in _prefixes, drawn afresh when shorter or keyed by another key_text(seed),
+    so seeds 1 and 1.0 stay two streams; an array seed raises before the read."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     dim = probe.dim_in
     if n_samples <= BLOCK_WIDTH:
-        key = (key_text(seed), dim, n_samples)
-        last = _last_blocks.get(stream)
-        if last is None or last[0] != key:
-            block = read_only(draw(keyed_rng(stream, seed), n_samples, dim))[0]
-            last = _last_blocks[stream] = key, block
-        u = last[1]
+        key, size = key_text(seed), n_samples * dim
+        if (held := _prefixes.get(stream)) is None or held[0] != key or held[1].size < size:
+            held = _prefixes[stream] = key, read_only(draw(keyed_rng(stream, seed), size))[0]
+        u = held[1][:size].reshape(n_samples, dim)
         samples = form(u, probe.rop(u.T))
     else:
-        rng = keyed_rng(stream, seed)
-        samples = np.empty(n_samples)
+        rng, samples = keyed_rng(stream, seed), np.empty(n_samples)
         for start in range(0, n_samples, BLOCK_WIDTH):
-            u = read_only(draw(rng, min(BLOCK_WIDTH, n_samples - start), dim))[0]
-            samples[start:start + len(u)] = form(u, probe.rop(u.T))
+            k = min(BLOCK_WIDTH, n_samples - start)
+            u = read_only(draw(rng, k * dim).reshape(k, dim))[0]
+            samples[start:start + k] = form(u, probe.rop(u.T))
     mean = float(samples.sum() / n_samples)
     se_mean = float(np.sqrt(np.sum((samples - mean) ** 2)
                             / (n_samples * (n_samples - 1))))
@@ -450,9 +445,11 @@ def frobenius_norm_mc(probe: LinearProbe, n_samples: int,
                       seed: int = 0) -> tuple[float, float]:
     """Monte Carlo Frobenius norm: E ||A u||^2 = ||A||_F^2 for standard
     Gaussian u. Returns (estimate, stderr), the stderr mapped through
-    the square root by the delta method."""
+    the square root by the delta method. The n samples at input width d
+    are the first n * d normals of the seed's keyed stream, so one seed
+    gives common random numbers across probe widths and sample counts."""
     mean, se_mean = _mc_estimate(probe, n_samples, "frobenius-mc", seed,
-                                 lambda rng, k, d: rng.standard_normal((k, d)),
+                                 lambda rng, m: rng.standard_normal(m),
                                  lambda u, au: np.einsum("ij,ij->j", au, au))
     if mean <= 0.0:
         return 0.0, 0.0
@@ -464,10 +461,12 @@ def trace_mc(probe: LinearProbe, n_samples: int,
              seed: int = 0) -> tuple[float, float]:
     """Hutchinson trace estimate with Rademacher probes:
     E u^T A u = tr A for u uniform on {-1, +1}^d. Returns
-    (estimate, stderr)."""
+    (estimate, stderr). The n samples at width d are the first n * d signs
+    of the seed's keyed stream: common random numbers across probe widths
+    and sample counts, as for frobenius_norm_mc."""
     if probe.dim_in != probe.dim_out:
         raise ShapeMismatch(f"trace needs a square map, got "
                             f"({probe.dim_out}, {probe.dim_in})")
     return _mc_estimate(probe, n_samples, "trace-mc", seed,
-                        lambda rng, k, d: 2.0 * rng.integers(0, 2, (k, d)) - 1.0,
+                        lambda rng, m: 2.0 * rng.integers(0, 2, m) - 1.0,
                         lambda u, au: np.einsum("ij,ji->i", u, au))

@@ -263,8 +263,9 @@ def _layer_doc(lay, nid: str, store) -> dict:
             v = store(key, v)
         elif kind == "pair":
             v = [int(v), int(v)] if np.isscalar(v) else [int(v[0]), int(v[1])]
-        elif kind in ("int", "number") and isinstance(v, np.generic):
-            v = v.item()  # the number a numpy scalar holds, which json can write
+        elif kind in ("int", "number"):  # json writes a numpy scalar's number
+            v = v.item() if isinstance(v, np.generic) else v
+            _value(kind, v, f"node {nid!r}.layer.{key}", None)  # refuse what load refuses
         elif kind == "mode":
             v = "training" if v else "inference"
         doc[key] = v

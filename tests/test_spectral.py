@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nets
 from cpajvp import (AdjointMismatch, LinearProbe, ShapeMismatch,
@@ -644,7 +645,7 @@ def test_mc_estimators_draw_the_per_sample_stream(n):
 
 
 # ---------------------------------------------------------------------------
-# each estimator's memo of its last single-block draw
+# each estimator's memo: one prefix of the keyed stream per stream
 
 @pytest.fixture
 def rng_spy(monkeypatch):
@@ -656,8 +657,51 @@ def rng_spy(monkeypatch):
         return keyed_rng(*parts)
 
     monkeypatch.setattr(spectral, "keyed_rng", spy)
-    monkeypatch.setattr(spectral, "_last_blocks", {})
+    monkeypatch.setattr(spectral, "_prefixes", {})
     return keys
+
+
+# estimator -> (its stream, a fresh (n, d) block of that stream)
+_STREAMS = {
+    frobenius_norm_mc: ("frobenius-mc", lambda rng, n, d: rng.standard_normal((n, d))),
+    trace_mc: ("trace-mc", lambda rng, n, d: 2.0 * rng.integers(0, 2, (n, d)) - 1.0),
+}
+
+
+def block_probe(d):
+    """Probe of a seeded (d, d) matrix that keeps each rop block, one row
+    per vector."""
+    m = np.random.default_rng(d).standard_normal((d, d))
+    seen = []
+
+    def rop(u):
+        seen.append(u.T.copy())
+        return m @ u
+
+    return LinearProbe(d, d, rop, lambda v: m.T @ v, check_adjoint=False,
+                       blocks=True), seen
+
+
+def test_one_draw_per_seed_while_no_call_needs_a_longer_prefix(rng_spy):
+    # the families workload's mc round, three times: frob at input widths
+    # 6, 42, 25, 4, 25 and trace at 16, 24, 32, then shorter calls
+    for seed in (5, 5, 6):
+        for estimator, widths in ((frobenius_norm_mc, (6, 42, 25, 4, 25)),
+                                  (trace_mc, (16, 24, 32))):
+            for d in widths:
+                p, seen = block_probe(d)
+                estimator(p, 200, seed=seed)
+                stream, fresh = _STREAMS[estimator]
+                assert np.array_equal(seen[0], fresh(keyed_rng(stream, seed), 200, d))
+    p, _ = block_probe(6)
+    frobenius_norm_mc(p, 1000, seed=6)  # 6000 values of the 8400 held
+    trace_mc(p, 3, seed=6)
+    # a draw where the seed changes and where a call needs a longer prefix
+    assert rng_spy == [("frobenius-mc", 5)] * 2 + [("trace-mc", 5)] * 3 + [
+        ("frobenius-mc", 6)] * 2 + [("trace-mc", 6)] * 3
+    assert {stream: (key, prefix.size) for stream, (key, prefix)
+            in spectral._prefixes.items()} == {"frobenius-mc": ("6", 200 * 42),
+                                               "trace-mc": ("6", 200 * 32)}
 
 
 _FRESH_ESTIMATES = """
@@ -705,8 +749,9 @@ def test_calls_of_more_than_one_block_are_not_memoized(rng_spy):
     assert streamed[0] == streamed[1]
     assert rng_spy == [("frobenius-mc", 2)] + [("frobenius-mc", 2), ("trace-mc", 2)] * 2
     # the streamed calls left the single-block entry alone and added none
-    assert list(spectral._last_blocks) == ["frobenius-mc"]
-    assert spectral._last_blocks["frobenius-mc"][0] == ("2", 6, 50)
+    assert list(spectral._prefixes) == ["frobenius-mc"]
+    assert [(key, prefix.size) for key, prefix in spectral._prefixes.values()] == [
+        ("2", 50 * 6)]
     assert frobenius_norm_mc(p, 50, seed=2) == small
     assert len(rng_spy) == 5
 
@@ -744,19 +789,23 @@ def test_array_seeds_are_refused_before_the_memo_is_read(rng_spy, estimator):
             with pytest.raises(ValueError, match="array"):
                 estimator(p, n, seed=seed)
     assert p.rop_calls == 40
-    assert [key for key, _ in spectral._last_blocks.values()] == [("[1.]", 6, 40)]
+    assert [(key, prefix.size) for key, prefix in spectral._prefixes.values()] == [
+        ("[1.]", 40 * 6)]
 
 
 def test_threads_racing_on_the_memo_each_get_their_own_key():
     p = matrix_probe(np.random.default_rng(9).standard_normal((5, 7)), check=False)
-    want = {seed: frobenius_norm_mc(p, 30, seed=seed) for seed in range(4)}
+    want = {(seed, n): frobenius_norm_mc(p, n, seed=seed)
+            for seed in range(4) for n in (20, 30)}
     errors = []
 
     def work(seed):
         try:
             for i in range(100):
-                s = (seed + i) % 4  # threads keep asking for each other's keys
-                if frobenius_norm_mc(p, 30, seed=s) != want[s]:
+                # threads keep asking for each other's seeds, and for longer
+                # and shorter prefixes of them
+                key = (seed + i) % 4, (20, 30)[i // 4 % 2]
+                if frobenius_norm_mc(p, key[1], seed=key[0]) != want[key]:
                     errors.append((seed, i))
         except Exception as exc:  # a thread's exception would not reach the test
             errors.append(exc)
@@ -773,6 +822,36 @@ def test_threads_racing_on_the_memo_each_get_their_own_key():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+_CALLS = st.lists(st.tuples(st.sampled_from([frobenius_norm_mc, trace_mc]),
+                            st.sampled_from([0, 1, 1.0, True, "1", np.int64(2)]),
+                            st.integers(2, BLOCK_WIDTH), st.integers(1, 12)),
+                  min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=_CALLS)
+def test_interleaved_calls_match_an_empty_memo_and_a_fresh_draw(calls):
+    # each example starts from an empty memo; its reference call runs on
+    # another empty memo, then the example's memo is put back
+    held = spectral._prefixes
+    spectral._prefixes = {}
+    try:
+        for estimator, seed, n, d in calls:
+            p, seen = block_probe(d)
+            got = estimator(p, n, seed=seed)
+            shared, spectral._prefixes = spectral._prefixes, {}
+            try:
+                assert estimator(block_probe(d)[0], n, seed=seed) == got
+            finally:
+                spectral._prefixes = shared
+            # numpy's draws must take the keyed stream in order: an (n, d)
+            # block is the first n * d values of its stream
+            stream, fresh = _STREAMS[estimator]
+            assert np.array_equal(seen[0], fresh(keyed_rng(stream, seed), n, d))
+    finally:
+        spectral._prefixes = held
 
 
 @pytest.mark.parametrize("n", [40, BLOCK_WIDTH + 5])

@@ -222,12 +222,33 @@ def test_numpy_scalar_fields_round_trip(tmp_path, case, mode):
 def test_a_network_that_cannot_be_saved_leaves_no_file(tmp_path):
     net = _scalar_field_net("decimal-seed")
     forward(net, np.ones(4))  # it runs
-    with pytest.raises(TypeError):
+    with pytest.raises(NetworkSchemaError, match="expected an integer"):
         save_network(net, tmp_path / "out")
     assert not (tmp_path / "out").exists()
-    with pytest.raises(TypeError):
+    with pytest.raises(NetworkSchemaError, match="expected an integer"):
         save_network(net, tmp_path)  # a directory that exists gets no weight file
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", [1.0, True], ids=["float", "bool"])
+def test_a_seed_the_reader_refuses_is_refused_before_any_file(tmp_path, seed):
+    # the network runs, but parse_network would refuse its saved seed; int()
+    # would change the dropout stream, which the seed's text keys
+    stem = _scalar_field_net("dropout").nodes[0]
+    net = Network((4,), [stem, Node("top", Dropout(0.3, True, seed), ("fc",))], "top")
+    forward(net, np.ones(4))
+    with pytest.raises(NetworkSchemaError) as saved:
+        save_network(net, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    # the reader's message for the same field, which names node and field
+    save_network(_scalar_field_net("dropout"), tmp_path / "ok", weights="inline")
+    doc = json.loads((tmp_path / "ok" / "net.json").read_text())
+    doc["nodes"][-1]["layer"]["seed"] = seed
+    (tmp_path / "ok" / "net.json").write_text(json.dumps(doc))
+    with pytest.raises(NetworkSchemaError) as read:
+        parse_network(tmp_path / "ok" / "net.json")
+    assert str(saved.value) == str(read.value) == (
+        f"node 'top'.layer.seed: expected an integer, got {seed!r}")
 
 
 def test_save_is_deterministic(tmp_path):

@@ -48,7 +48,7 @@ FIXTURE_MC_SAMPLES = 200
 EXTRA_KINDS = ("record", "double_vjp", "batch_jacobian", "replay_doubled", "replay_leakier",
                "probe_vector", "jvp_weight_each")
 # Estimators whose samples stream through more than one block, the path an
-# estimator's memo of its last single-block draw leaves alone. No fixture
+# estimator's memo of its stream's prefix leaves alone. No fixture
 # network is square, so trace runs on a benchmark one.
 STREAMED = {"fixture-mlp-s0-x1": ("frob",), "probe-reuse-square0": ("trace",)}
 
