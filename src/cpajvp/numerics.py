@@ -76,6 +76,18 @@ def keyed_rng(*parts) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_key_words_type()(words)))
 
 
+_ZERO_KEY = np.zeros(2, dtype="<u8")
+
+
+def resumed_rng(state: dict) -> np.random.Generator:
+    """Generator that continues a ``keyed_rng`` stream, bit for bit, from
+    its bit generator's ``state``. The Philox it builds takes the fixed
+    key 0 before the state replaces it, so no OS entropy is read."""
+    bit_generator = np.random.Philox(_key_words_type()(_ZERO_KEY))
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
 def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays, made read-only, for caches that share them."""
     for a in arrays:

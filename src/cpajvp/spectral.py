@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,7 +20,8 @@ import numpy as np
 from .affine import narrow_side_slope
 from .network import (BLOCK_WIDTH, Network, ShapeMismatch, _forward_pass, _single,
                       _transposed_pass)
-from .numerics import check_finite, check_real, key_text, keyed_rng, qr_householder, read_only
+from .numerics import (_F64, check_finite, check_real, key_text, keyed_rng, qr_householder,
+                       read_only, resumed_rng)
 
 
 class AdjointMismatch(RuntimeError):
@@ -96,23 +98,26 @@ class LinearProbe:
             self.lop_calls = 0
 
     def _product(self, fn, a, n_in: int, n_out: int, name: str) -> tuple[np.ndarray, int]:
-        check_real(a, f"{name} input")
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim not in (1, 2) or a.shape[0] != n_in or a.ndim == 2 and a.shape[1] < 1:
+        if type(a) is not np.ndarray or a.dtype is not _F64:
+            check_real(a, f"{name} input")
+            a = np.asarray(a, dtype=np.float64)
+        shape = a.shape
+        if len(shape) not in (1, 2) or shape[0] != n_in or shape[1:] == (0,):
             raise ShapeMismatch(f"{name} takes a length-{n_in} vector or an "
-                                f"({n_in}, k) block with k >= 1, got {a.shape}")
-        if a.ndim == 1 or self.blocks:
-            out = fn(a.reshape(n_in, -1) if self.blocks else a)
-            check_real(out, f"{name} result")
-            out = np.asarray(out, dtype=np.float64)
+                                f"({n_in}, k) block with k >= 1, got {shape}")
+        if len(shape) == 1 or self.blocks:
+            out = fn(a.reshape(n_in, 1) if self.blocks and len(shape) == 1 else a)
+            if type(out) is not np.ndarray or out.dtype is not _F64:
+                check_real(out, f"{name} result")
+                out = np.asarray(out, dtype=np.float64)
         else:
             out = np.stack([self._product(fn, c, n_in, n_out, name)[0] for c in a.T], axis=1)
-        if a.ndim == 1 and out.size == n_out:
+        if len(shape) == 1 and out.size == n_out:
             out = out.reshape(n_out)
-        if out.shape != (n_out,) + a.shape[1:]:
+        if out.shape != (n_out, *shape[1:]):
             raise ShapeMismatch(f"{name} returned shape {out.shape}, "
-                                f"expected {(n_out,) + a.shape[1:]}")
-        return out, a.shape[1] if a.ndim == 2 else 1
+                                f"expected {(n_out, *shape[1:])}")
+        return out, shape[1] if len(shape) == 2 else 1
 
     def rop(self, u: np.ndarray) -> np.ndarray:
         out, k = self._product(self._rop, u, self.dim_in, self.dim_out, "rop")
@@ -229,6 +234,45 @@ _MAX_BLOCKS = 10
 _NEW_DIRECTION_TOL = 1e-12
 
 
+def _lapack_calls(gufuncs) -> dict[str, Callable]:
+    """np.linalg.eigh (as "eigh_lo") and np.linalg.svd with full_matrices
+    False and True ("svd_s", "svd_f") through the numpy.linalg gufuncs of
+    those names in the module gufuncs, called as numpy.linalg calls them on
+    a float64 matrix: the same bits, and under numpy.linalg's error policy,
+    so a LAPACK failure raises LinAlgError with numpy's message and warns
+    nothing, without the public functions' wrappers. A name gufuncs lacks
+    (numpy 1.x names its SVD gufuncs svd_n_s, svd_m_s, ...) maps to the
+    public function."""
+    def call(name, signature, message, public):
+        if (gufunc := getattr(gufuncs, name, None)) is None:
+            return public
+
+        def failed(err, flag):
+            raise np.linalg.LinAlgError(message)
+
+        # as a decorator, errstate sets the error state faster than a `with`
+        @np.errstate(call=failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore")
+        def run(a: np.ndarray):
+            return gufunc(a, signature=signature)
+        return run
+
+    reduced, full = (functools.partial(np.linalg.svd, full_matrices=f) for f in (False, True))
+    return {"eigh_lo": call("eigh_lo", "d->dd", "Eigenvalues did not converge", np.linalg.eigh),
+            "svd_s": call("svd_s", "d->ddd", "SVD did not converge", reduced),
+            "svd_f": call("svd_f", "d->ddd", "SVD did not converge", full)}
+
+
+_umath_linalg = getattr(np.linalg, "_umath_linalg", None)  # numpy.linalg's gufuncs
+_LAPACK = _lapack_calls(_umath_linalg)
+
+
+def _lapack_path() -> str:
+    """Which way the loop's LAPACK calls go on this numpy, for logs."""
+    public = [name for name in _LAPACK if getattr(_umath_linalg, name, None) is None]
+    return ("numpy.linalg fallback for " + ", ".join(public)) if public else "gufunc"
+
+
 def _frobenius(a: np.ndarray) -> float:
     """||a||_F the way np.linalg.norm takes it, bit for bit, without its
     dispatch."""
@@ -243,8 +287,9 @@ def _new_directions(basis: np.ndarray, columns: np.ndarray) -> np.ndarray:
     scale = _frobenius(columns)
     for _ in range(2):
         columns = columns - basis @ (basis.T @ columns)
-    u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    return u[:, s > _NEW_DIRECTION_TOL * scale]
+    u, s, _ = _LAPACK["svd_s"](columns)
+    # s descends, so the kept columns are a prefix
+    return u[:, :np.count_nonzero(s > _NEW_DIRECTION_TOL * scale)]
 
 
 class _KrylovBasis:
@@ -297,11 +342,22 @@ class _KrylovBasis:
         self.newest = slice(0, self.size)
 
 
-def _check_iteration_args(k: int, k_max: int, max_iter: int) -> None:
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_iteration_args(k, k_max: int, max_iter) -> tuple[int, int]:
+    """k and max_iter as ints; a float, even 2.0, raises TypeError (the
+    loop stops on iterations == max_iter, which 2.5 never equals)."""
+    k, max_iter = _integer(k, "k"), _integer(max_iter, "max_iter")
     if not 1 <= k <= k_max:
         raise ShapeMismatch(f"k must be in [1, {k_max}], got {k}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    return k, max_iter
 
 
 def top_k_eigen(probe: LinearProbe, k: int, tol: float = 1e-8,
@@ -326,7 +382,7 @@ def top_k_eigen(probe: LinearProbe, k: int, tol: float = 1e-8,
     if probe.dim_in != probe.dim_out:
         raise ShapeMismatch(f"eigen needs a square map, got "
                             f"({probe.dim_out}, {probe.dim_in})")
-    _check_iteration_args(k, probe.dim_in, max_iter)
+    k, max_iter = _check_iteration_args(k, probe.dim_in, max_iter)
     rop0, lop0 = probe.rop_calls, probe.lop_calls
     basis = _KrylovBasis(probe.dim_in, probe.dim_in, k)
     basis.append(_start_block("eigen-init", key_text(seed), probe.dim_in, k), probe.rop)
@@ -334,7 +390,7 @@ def top_k_eigen(probe: LinearProbe, k: int, tol: float = 1e-8,
     residuals = []
     while True:
         t = basis.q.T @ basis.aq
-        theta, s = np.linalg.eigh((t + t.T) / 2.0)
+        theta, s = _LAPACK["eigh_lo"]((t + t.T) / 2.0)
         theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
         y, ay = basis.q @ s, basis.aq @ s
         residuals.append(_frobenius(ay - y * theta))
@@ -373,7 +429,7 @@ def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
     law is unchanged: exactly k * iterations + k rop calls and
     k * iterations lop calls.
     """
-    _check_iteration_args(k, min(probe.dim_in, probe.dim_out), max_iter)
+    k, max_iter = _check_iteration_args(k, min(probe.dim_in, probe.dim_out), max_iter)
     rop0, lop0 = probe.rop_calls, probe.lop_calls
     left = _KrylovBasis(probe.dim_out, probe.dim_in, k)
     right = _KrylovBasis(probe.dim_in, probe.dim_out, k)
@@ -381,7 +437,7 @@ def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
     iterations = 0
     residuals = []
     while True:
-        p, sigma, rt = np.linalg.svd(left.aq.T @ right.q, full_matrices=left.size < k)
+        p, sigma, rt = _LAPACK["svd_f" if left.size < k else "svd_s"](left.aq.T @ right.q)
         if len(sigma) < k:  # rank below k: zero values, zero left vectors
             p = np.hstack([p, np.zeros((left.size, k - len(sigma)))])
             sigma = np.concatenate([sigma, np.zeros(k - len(sigma))])
@@ -408,9 +464,10 @@ def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
                           residuals=tuple(residuals))
 
 
-# stream -> (key_text(seed), the first values of its keyed stream). No lock:
-# a call keeps the pair it read or drew, so a race only costs a redraw.
-_prefixes: dict[str, tuple[str, np.ndarray]] = {}
+# stream -> (key_text(seed), the first values of its keyed stream, the state
+# of the stream's generator after them). No lock: a call keeps the entry it
+# read or made, so a race only costs a redraw.
+_prefixes: dict[str, tuple[str, np.ndarray, dict]] = {}
 
 
 def _mc_estimate(probe: LinearProbe, n_samples: int, stream: str, seed, draw,
@@ -418,15 +475,24 @@ def _mc_estimate(probe: LinearProbe, n_samples: int, stream: str, seed, draw,
     """Mean and stderr, by np.mean's formulas, of n_samples samples form(u, A u),
     u the read-only blocks of k <= BLOCK_WIDTH rows that draw(rng, m) fills from
     rng = keyed_rng(stream, seed), m values at a time. One block reads the stream's
-    prefix in _prefixes, drawn afresh when shorter or keyed by another key_text(seed),
-    so seeds 1 and 1.0 stay two streams; an array seed raises before the read."""
+    prefix in _prefixes: drawn from the start when keyed by another key_text(seed),
+    so seeds 1 and 1.0 stay two streams, and extended by the missing tail, drawn
+    from the held generator state, when shorter. An array seed raises before the
+    read."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     dim = probe.dim_in
     if n_samples <= BLOCK_WIDTH:
         key, size = key_text(seed), n_samples * dim
-        if (held := _prefixes.get(stream)) is None or held[0] != key or held[1].size < size:
-            held = _prefixes[stream] = key, read_only(draw(keyed_rng(stream, seed), size))[0]
+        held = _prefixes.get(stream)
+        if held is None or held[0] != key:
+            rng = keyed_rng(stream, seed)
+            held = _prefixes[stream] = (key, read_only(draw(rng, size))[0],
+                                        rng.bit_generator.state)
+        elif held[1].size < size:
+            rng = resumed_rng(held[2])
+            prefix = np.concatenate((held[1], draw(rng, size - held[1].size)))
+            held = _prefixes[stream] = key, read_only(prefix)[0], rng.bit_generator.state
         u = held[1][:size].reshape(n_samples, dim)
         samples = form(u, probe.rop(u.T))
     else:

@@ -1,7 +1,8 @@
 """The session header (the summary's last line under -q) names the numpy
 and BLAS build and the OpenBLAS kernel set and thread count of the run,
-on which the timing gate of acceptance 10 depends. It only reads: no
-setting is changed."""
+on which the timing gate of acceptance 10 depends, and the way the
+Krylov loop reaches LAPACK on this numpy: numpy.linalg's gufuncs, or its
+public functions as the fallback. It only reads: no setting is changed."""
 import ctypes
 import glob
 from pathlib import Path
@@ -25,6 +26,14 @@ def _openblas(name: str, restype):
     return "unknown"
 
 
+def _lapack_path() -> str:
+    try:
+        from cpajvp.spectral import _lapack_path
+    except ImportError:  # the package is not on the path
+        return "unknown"
+    return _lapack_path()
+
+
 def _environment() -> str:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -33,7 +42,8 @@ def _environment() -> str:
     return (f"numpy {np.__version__}, BLAS {blas.get('name', 'unknown')} "
             f"{blas.get('version', 'unknown')}, OpenBLAS core "
             f"{_openblas('get_corename', ctypes.c_char_p)} with "
-            f"{_openblas('get_num_threads', ctypes.c_int)} threads")
+            f"{_openblas('get_num_threads', ctypes.c_int)} threads, Krylov LAPACK "
+            f"{_lapack_path()}")
 
 
 def pytest_report_header(config):

@@ -12,7 +12,7 @@ import pytest
 from cpajvp.numerics import (NonFiniteInput, ShapeMismatch, check_finite, conv2d,
                              conv2d_input_adjoint, conv2d_output_shape, key_text, keyed_rng,
                              matmul, maxpool_argmax, maxpool_output_shape,
-                             qr_householder)
+                             qr_householder, resumed_rng)
 from oracles import dense_eig_symmetric, dense_svd
 
 
@@ -525,6 +525,18 @@ def test_keyed_seed_sequence_gives_only_the_key():
     rng.random(5)
     copy = pickle.loads(pickle.dumps(rng))
     assert copy.random(4).tobytes() == rng.random(4).tobytes()
+
+
+@pytest.mark.parametrize("head,tail", [(1200, 7200), (3201, 1599), (7, 5)])
+def test_a_resumed_stream_continues_one_draw_bit_for_bit(head, tail):
+    for draw in (lambda rng, m: rng.standard_normal(m),
+                 lambda rng, m: rng.integers(0, 2, m)):
+        rng = keyed_rng("frobenius-mc", 3)
+        first = draw(rng, head)
+        rest = resumed_rng(rng.bit_generator.state)
+        assert not isinstance(rest.bit_generator.seed_seq, np.random.SeedSequence)
+        want = draw(keyed_rng("frobenius-mc", 3), head + tail)
+        assert np.concatenate((first, draw(rest, tail))).tobytes() == want.tobytes()
 
 
 def test_importing_cpajvp_loads_no_numpy_random():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from cpajvp import fixtures, forward
 from cpajvp.network import BLOCK_WIDTH
 from cpajvp import NonFiniteInput, record_states, spectral
 from cpajvp.network import Dense, _forward_pass, _transposed_pass
-from cpajvp.numerics import key_text, keyed_rng
+from cpajvp.numerics import key_text, keyed_rng, resumed_rng
 from cpajvp.spectral import _adjoint_check_pairs, _start_block
 from oracles import dense_eig_symmetric, dense_svd
 
@@ -298,6 +299,14 @@ def test_top_k_eigen_validates_arguments():
         top_k_eigen(matrix_probe(np.zeros((3, 4))), k=1)  # not square
     with pytest.raises(ValueError):
         top_k_eigen(p, k=1, max_iter=0)
+    # the loop stops on iterations == max_iter, which 2.5 never equals
+    m = np.random.default_rng(2).standard_normal((300, 300))
+    with pytest.raises(TypeError, match="max_iter must be an integer, got 2.5"):
+        top_k_eigen(matrix_probe(m, check=False), 2, tol=1e-30, max_iter=2.5)
+    with pytest.raises(TypeError, match="k must be an integer, got 2.0"):
+        top_k_eigen(p, k=2.0)
+    res = top_k_eigen(p, k=np.int64(2), max_iter=np.int32(3))  # numpy integers pass
+    assert res.values.shape == (2,)
 
 
 def test_top_k_svd_matches_dense_oracle():
@@ -357,6 +366,79 @@ def test_top_k_svd_validates_arguments():
         top_k_svd(p, k=4)  # k > min(m, n)
     with pytest.raises(ValueError):
         top_k_svd(p, k=1, max_iter=-1)
+    with pytest.raises(TypeError, match="max_iter must be an integer, got 2.5"):
+        top_k_svd(p, k=1, tol=1e-30, max_iter=2.5)
+    with pytest.raises(TypeError, match="k must be an integer, got 2.0"):
+        top_k_svd(p, k=2.0)
+    res = top_k_svd(matrix_probe(np.eye(3, 5)), k=np.int64(2), max_iter=np.int32(3))
+    assert res.values.shape == (2,)
+
+
+# ---------------------------------------------------------------------------
+# the loop's LAPACK calls: numpy.linalg's gufuncs, or its public functions
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def loop_shapes():
+    """Square sizes 1-30, the tall (d, <= 3) blocks _new_directions takes,
+    and the (<= 2, size) projections top_k_svd takes before its left basis
+    holds k columns."""
+    return ([(n, n) for n in range(1, 31)] + [(d, c) for d in range(1, 31)
+                                              for c in range(1, min(d, 3) + 1)]
+            + [(r, c) for c in range(1, 31) for r in range(min(c, 3))])
+
+
+def test_lapack_calls_match_numpy_linalg_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for shape in loop_shapes():
+        a = rng.standard_normal(shape)
+        for full in (False, True):
+            got = spectral._LAPACK["svd_f" if full else "svd_s"](a)
+            want = np.linalg.svd(a, full_matrices=full)
+            assert all(map(same_bits, got, want)), (shape, full)
+        if shape[0] == shape[1]:
+            t = a + a.T
+            assert all(map(same_bits, spectral._LAPACK["eigh_lo"](t / 2.0),
+                           np.linalg.eigh(t / 2.0))), shape
+
+
+@pytest.mark.parametrize("calls", ["gufunc", "public"])
+def test_lapack_calls_raise_numpys_error_on_nan_and_warn_nothing(calls):
+    calls = spectral._LAPACK if calls == "gufunc" else spectral._lapack_calls(None)
+    bad = np.full((4, 4), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            calls["eigh_lo"](bad)
+        for name in ("svd_s", "svd_f"):
+            with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+                calls[name](bad[:, :3])
+
+
+def krylov_results(seed):
+    """top_k_svd on each fixture family and top_k_eigen on a symmetric and
+    a non-symmetric square net, all at scale 2."""
+    results = []
+    for arch in fixtures.ARCHITECTURES:
+        net, x = fixtures.generate(arch, seed, scale=2)
+        results.append(top_k_svd(probe_from_network(net, x), 3, tol=1e-9, max_iter=300))
+    w, _ = gapped_symmetric(seed, 12)
+    x = np.random.default_rng(seed).standard_normal(12)
+    for net in (nets.all_positive_region_net(w, x), nets.square_net(seed, 12)):
+        results.append(top_k_eigen(probe_from_network(net, x), 3, tol=1e-9, max_iter=60))
+    return results
+
+
+def test_krylov_results_keep_their_bits_without_the_private_gufuncs(monkeypatch):
+    fast = krylov_results(0)
+    monkeypatch.setattr(spectral, "_LAPACK", spectral._lapack_calls(None))
+    for got, want in zip(krylov_results(0), fast, strict=True):
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert same_bits(a, b), field.name
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +731,20 @@ def test_mc_estimators_draw_the_per_sample_stream(n):
 
 @pytest.fixture
 def rng_spy(monkeypatch):
-    """The keys the estimators call keyed_rng with, over an empty memo."""
+    """The keys the estimators call keyed_rng with, over an empty memo,
+    and "resume" where a call resumes a held stream to draw its tail."""
     keys = []
 
     def spy(*parts):
         keys.append(parts)
         return keyed_rng(*parts)
 
+    def resume_spy(state):
+        keys.append("resume")
+        return resumed_rng(state)
+
     monkeypatch.setattr(spectral, "keyed_rng", spy)
+    monkeypatch.setattr(spectral, "resumed_rng", resume_spy)
     monkeypatch.setattr(spectral, "_prefixes", {})
     return keys
 
@@ -685,6 +773,7 @@ def block_probe(d):
 def test_one_draw_per_seed_while_no_call_needs_a_longer_prefix(rng_spy):
     # the families workload's mc round, three times: frob at input widths
     # 6, 42, 25, 4, 25 and trace at 16, 24, 32, then shorter calls
+    entries, made = {}, []  # (stream, key, prefix size) of each memo entry a call made
     for seed in (5, 5, 6):
         for estimator, widths in ((frobenius_norm_mc, (6, 42, 25, 4, 25)),
                                   (trace_mc, (16, 24, 32))):
@@ -693,13 +782,22 @@ def test_one_draw_per_seed_while_no_call_needs_a_longer_prefix(rng_spy):
                 estimator(p, 200, seed=seed)
                 stream, fresh = _STREAMS[estimator]
                 assert np.array_equal(seen[0], fresh(keyed_rng(stream, seed), 200, d))
+                entry = spectral._prefixes[stream]
+                if entries.get(stream) is not entry:
+                    entries[stream] = entry
+                    made.append((stream, entry[0], entry[1].size))
     p, _ = block_probe(6)
     frobenius_norm_mc(p, 1000, seed=6)  # 6000 values of the 8400 held
     trace_mc(p, 3, seed=6)
-    # a draw where the seed changes and where a call needs a longer prefix
-    assert rng_spy == [("frobenius-mc", 5)] * 2 + [("trace-mc", 5)] * 3 + [
-        ("frobenius-mc", 6)] * 2 + [("trace-mc", 6)] * 3
-    assert {stream: (key, prefix.size) for stream, (key, prefix)
+    # a key where the seed changes, a resume where a call needs a longer prefix
+    assert made == [(stream, key, size) for key in ("5", "6") for stream, size in (
+        ("frobenius-mc", 1200), ("frobenius-mc", 8400),
+        ("trace-mc", 3200), ("trace-mc", 4800), ("trace-mc", 6400))]
+    # so the tails drawn are 7200 normals, then 1600 and 1600 signs, per seed
+    assert rng_spy == [("frobenius-mc", 5), "resume", ("trace-mc", 5), "resume",
+                       "resume", ("frobenius-mc", 6), "resume", ("trace-mc", 6),
+                       "resume", "resume"]
+    assert {stream: (key, prefix.size) for stream, (key, prefix, _)
             in spectral._prefixes.items()} == {"frobenius-mc": ("6", 200 * 42),
                                                "trace-mc": ("6", 200 * 32)}
 
@@ -750,7 +848,7 @@ def test_calls_of_more_than_one_block_are_not_memoized(rng_spy):
     assert rng_spy == [("frobenius-mc", 2)] + [("frobenius-mc", 2), ("trace-mc", 2)] * 2
     # the streamed calls left the single-block entry alone and added none
     assert list(spectral._prefixes) == ["frobenius-mc"]
-    assert [(key, prefix.size) for key, prefix in spectral._prefixes.values()] == [
+    assert [(key, prefix.size) for key, prefix, _ in spectral._prefixes.values()] == [
         ("2", 50 * 6)]
     assert frobenius_norm_mc(p, 50, seed=2) == small
     assert len(rng_spy) == 5
@@ -789,7 +887,7 @@ def test_array_seeds_are_refused_before_the_memo_is_read(rng_spy, estimator):
             with pytest.raises(ValueError, match="array"):
                 estimator(p, n, seed=seed)
     assert p.rop_calls == 40
-    assert [(key, prefix.size) for key, prefix in spectral._prefixes.values()] == [
+    assert [(key, prefix.size) for key, prefix, _ in spectral._prefixes.values()] == [
         ("[1.]", 40 * 6)]
 
 
