@@ -28,36 +28,47 @@ class AdjointMismatch(RuntimeError):
     """Raised when a probe's two products fail the adjoint identity."""
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @functools.lru_cache(maxsize=64)
 def _adjoint_check_pairs(dim_in: int, dim_out: int):
     """The three keyed pairs of the adjoint self-check at these dims, as
     columns of u (dim_in, 3) and v (dim_out, 3), with their column
-    norms; drawn once per dims and shared read-only."""
+    norms; drawn once per dims and shared read-only. u and v are
+    transposed views of C-contiguous rows, so u.T and v.T are the pairs
+    in the engines' batch layout at no cost."""
     rng = keyed_rng("probe-adjoint-check", dim_in, dim_out)
     pairs = [(rng.standard_normal(dim_in), rng.standard_normal(dim_out))
              for _ in range(3)]
-    u, v = (np.stack(side, axis=1) for side in zip(*pairs))
+    u, v = (np.array(side).T for side in zip(*pairs))
     return read_only(u, v, np.linalg.norm(u, axis=0), np.linalg.norm(v, axis=0))
 
 
-def _check_adjoint(pairs, au: np.ndarray, atv: np.ndarray) -> None:
+def _check_adjoint_rows(pairs, au: np.ndarray, atv: np.ndarray) -> None:
     """Raise AdjointMismatch unless <A u, v> == <u, A^T v> on each check
     pair to 1e-11 of the Cauchy-Schwarz scale ||A u|| ||v|| +
-    ||u|| ||A^T v||, and that scale is finite; au and atv are the
-    products of the pairs' columns."""
+    ||u|| ||A^T v||, and every pair's scale is finite; au (3, dim_out)
+    and atv (3, dim_in) hold the products of the pairs as rows. A
+    non-finite scale on any pair is reported before a gap on any other."""
     u, v, u_norm, v_norm = pairs
-    # column norms as np.linalg.norm takes them, without its dispatch
-    au_norm, atv_norm = np.sqrt((au * au).sum(axis=0)), np.sqrt((atv * atv).sum(axis=0))
-    scale = au_norm * v_norm + u_norm * atv_norm
-    if not np.isfinite(scale).all():  # a NaN or inf gap compares false
-        raise AdjointMismatch(f"the check's scale is not finite: {scale!r}")
-    left, right = (au * v).sum(axis=0), (u * atv).sum(axis=0)
-    bad = np.abs(left - right) > 1e-11 * scale
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise AdjointMismatch(f"<A u, v> = {left[i]!r} but <u, A^T v> = "
-                              f"{right[i]!r}, beyond 1e-11 of the scale "
-                              f"{scale[i]!r}")
+    u_norm, v_norm = u_norm.tolist(), v_norm.tolist()
+    scales = []
+    for i in range(3):  # indexing rows is faster than iterating over them
+        a, t = au[i], atv[i]
+        scales.append(math.sqrt(a.dot(a)) * v_norm[i] + u_norm[i] * math.sqrt(t.dot(t)))
+    if not all(map(math.isfinite, scales)):  # a NaN or inf gap compares false
+        raise AdjointMismatch(f"the check's scale is not finite: {scales!r}")
+    u, v = u.T, v.T
+    for i, scale in enumerate(scales):
+        left, right = float(au[i].dot(v[i])), float(u[i].dot(atv[i]))
+        if abs(left - right) > 1e-11 * scale:
+            raise AdjointMismatch(f"<A u, v> = {left!r} but <u, A^T v> = {right!r}, "
+                                  f"beyond 1e-11 of the scale {scale!r}")
 
 
 class LinearProbe:
@@ -73,18 +84,20 @@ class LinearProbe:
     random pairs and raises AdjointMismatch when the gap exceeds 1e-11
     of the Cauchy-Schwarz scale ||A u|| ||v|| + ||u|| ||A^T v||, or that
     scale is NaN or inf. The pairs depend only on (dim_in, dim_out) and
-    are drawn once per dims, then cached read-only.
+    are drawn once per dims, then cached read-only. The dims must be
+    positive integers; a float, even 3.0, raises TypeError.
     """
 
     def __init__(self, dim_in: int, dim_out: int,
                  rop: Callable[[np.ndarray], np.ndarray],
                  lop: Callable[[np.ndarray], np.ndarray],
                  check_adjoint: bool = True, blocks: bool = False):
+        dim_in, dim_out = _integer(dim_in, "dim_in"), _integer(dim_out, "dim_out")
         if dim_in < 1 or dim_out < 1:
             raise ShapeMismatch(f"probe dims must be positive, got "
                                 f"({dim_in}, {dim_out})")
-        self.dim_in = int(dim_in)
-        self.dim_out = int(dim_out)
+        self.dim_in = dim_in
+        self.dim_out = dim_out
         self._rop = rop
         self._lop = lop
         self.blocks = blocks
@@ -92,7 +105,7 @@ class LinearProbe:
         self.lop_calls = 0
         if check_adjoint:
             pairs = _adjoint_check_pairs(self.dim_in, self.dim_out)
-            _check_adjoint(pairs, self.rop(pairs[0]), self.lop(pairs[1]))
+            _check_adjoint_rows(pairs, self.rop(pairs[0]).T, self.lop(pairs[1]).T)
             # the self-check is not user work
             self.rop_calls = 0
             self.lop_calls = 0
@@ -130,24 +143,15 @@ class LinearProbe:
         return out
 
 
-def _as_batch(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The columns of a block as an engine batch."""
-    return a.T.reshape((-1,) + shape)
-
-
-def _as_columns(batch: np.ndarray) -> np.ndarray:
-    return batch.reshape(len(batch), -1).T
-
-
 def probe_from_network(net: Network, x: np.ndarray,
                        check_adjoint: bool = True) -> LinearProbe:
     """Probe for the region at x: one state recording shared by every
     subsequent product call.
 
     Construction is one recording pass and, with the self-check, one
-    transposed pass. The three check columns u ride behind x in the
+    transposed pass. The three check rows u ride behind x in the
     recording pass, linear (the additive terms reach x alone), and come
-    out as A u; the transposed pass over the check's v gives A^T v. So
+    out as A u; the transposed pass over the check's v rows gives A^T v. So
     the check still compares the forward engine with the transposed
     engine, on the pairs and bound of ``LinearProbe``. The region is the
     one slice 0 of the recording batch decides, as for ``jvp_weight``
@@ -176,11 +180,11 @@ def probe_from_network(net: Network, x: np.ndarray,
     batch = _single(net, x)
     if check_adjoint:
         pairs = _adjoint_check_pairs(plan.d_in, plan.d_out)
-        batch = np.concatenate([batch, _as_batch(pairs[0], in_shape)])
+        batch = np.concatenate([batch, pairs[0].T.reshape((3,) + in_shape)])
     out, state = _forward_pass(net, batch, 1)
     if check_adjoint:
-        atv = _transposed_pass(net, state, _as_batch(pairs[1], out_shape))
-        _check_adjoint(pairs, _as_columns(out[1:]), _as_columns(atv))
+        atv = _transposed_pass(net, state, pairs[1].T.reshape((3,) + out_shape))
+        _check_adjoint_rows(pairs, out[1:].reshape(3, -1), atv.reshape(3, -1))
     kept = []  # the region's map A, once built
     wide = math.inf  # rop blocks wider than this read A
     if plan.d_in * plan.d_out <= plan.slice_mults:
@@ -192,12 +196,13 @@ def probe_from_network(net: Network, x: np.ndarray,
             if not kept:
                 kept.append(read_only(narrow_side_slope(net, state))[0])
             return kept[0] @ u
-        out, _ = _forward_pass(net, _as_batch(u, in_shape), 0, state)
-        return _as_columns(out)
+        out, _ = _forward_pass(net, u.T.reshape((-1,) + in_shape), 0, state)
+        return out.reshape(len(out), -1).T  # the engine's rows as columns
 
     def lop(v: np.ndarray) -> np.ndarray:
         check_finite(v, "cotangent")
-        return _as_columns(_transposed_pass(net, state, _as_batch(v, out_shape)))
+        atv = _transposed_pass(net, state, v.T.reshape((-1,) + out_shape))
+        return atv.reshape(len(atv), -1).T
 
     return LinearProbe(plan.d_in, plan.d_out, rop, lop, check_adjoint=False, blocks=True)
 
@@ -342,21 +347,17 @@ class _KrylovBasis:
         self.newest = slice(0, self.size)
 
 
-def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_iteration_args(k, k_max: int, max_iter) -> tuple[int, int]:
+def _check_iteration_args(k, k_max: int, max_iter, tol) -> tuple[int, int]:
     """k and max_iter as ints; a float, even 2.0, raises TypeError (the
-    loop stops on iterations == max_iter, which 2.5 never equals)."""
+    loop stops on iterations == max_iter, which 2.5 never equals). A NaN
+    or negative tol, which no residual meets, raises ValueError."""
     k, max_iter = _integer(k, "k"), _integer(max_iter, "max_iter")
     if not 1 <= k <= k_max:
         raise ShapeMismatch(f"k must be in [1, {k_max}], got {k}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     return k, max_iter
 
 
@@ -382,7 +383,7 @@ def top_k_eigen(probe: LinearProbe, k: int, tol: float = 1e-8,
     if probe.dim_in != probe.dim_out:
         raise ShapeMismatch(f"eigen needs a square map, got "
                             f"({probe.dim_out}, {probe.dim_in})")
-    k, max_iter = _check_iteration_args(k, probe.dim_in, max_iter)
+    k, max_iter = _check_iteration_args(k, probe.dim_in, max_iter, tol)
     rop0, lop0 = probe.rop_calls, probe.lop_calls
     basis = _KrylovBasis(probe.dim_in, probe.dim_in, k)
     basis.append(_start_block("eigen-init", key_text(seed), probe.dim_in, k), probe.rop)
@@ -429,7 +430,8 @@ def top_k_svd(probe: LinearProbe, k: int, tol: float = 1e-8,
     law is unchanged: exactly k * iterations + k rop calls and
     k * iterations lop calls.
     """
-    k, max_iter = _check_iteration_args(k, min(probe.dim_in, probe.dim_out), max_iter)
+    k, max_iter = _check_iteration_args(k, min(probe.dim_in, probe.dim_out), max_iter,
+                                         tol)
     rop0, lop0 = probe.rop_calls, probe.lop_calls
     left = _KrylovBasis(probe.dim_out, probe.dim_in, k)
     right = _KrylovBasis(probe.dim_in, probe.dim_out, k)
@@ -479,6 +481,7 @@ def _mc_estimate(probe: LinearProbe, n_samples: int, stream: str, seed, draw,
     so seeds 1 and 1.0 stay two streams, and extended by the missing tail, drawn
     from the held generator state, when shorter. An array seed raises before the
     read."""
+    n_samples = _integer(n_samples, "n_samples")
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     dim = probe.dim_in
@@ -501,10 +504,10 @@ def _mc_estimate(probe: LinearProbe, n_samples: int, stream: str, seed, draw,
             k = min(BLOCK_WIDTH, n_samples - start)
             u = read_only(draw(rng, k * dim).reshape(k, dim))[0]
             samples[start:start + k] = form(u, probe.rop(u.T))
-    mean = float(samples.sum() / n_samples)
-    se_mean = float(np.sqrt(np.sum((samples - mean) ** 2)
-                            / (n_samples * (n_samples - 1))))
-    return mean, se_mean
+    mean = float(samples.sum()) / n_samples
+    dev = samples - mean
+    dev *= dev
+    return mean, math.sqrt(float(dev.sum()) / (n_samples * (n_samples - 1)))
 
 
 def frobenius_norm_mc(probe: LinearProbe, n_samples: int,

@@ -153,6 +153,14 @@ def test_eigen_rejects_rectangular(netdir, capsys):
     assert "square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1e-8"])
+def test_spectral_commands_refuse_a_tol_no_residual_meets(netdir, capsys, tol):
+    code = run(["svd", "--net", netdir / "net.json", "--x", netdir / "x.ten",
+                "--k", "1", "--max-iter", "3", f"--tol={tol}"])
+    assert code == 2
+    assert "tol must be >= 0" in capsys.readouterr().err
+
+
 def test_svd_writes_triplet_files(netdir, tmp_path, capsys):
     vals = tmp_path / "s.ten"
     left = tmp_path / "u.ten"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import nets
 from cpajvp import (AdjointMismatch, LinearProbe, ShapeMismatch,
@@ -62,6 +62,12 @@ def test_probe_rejects_wrong_lengths():
         p.lop(np.ones(3))
     with pytest.raises(ShapeMismatch):
         LinearProbe(0, 2, rop=lambda u: u, lop=lambda v: v)
+    # int(2.9) would quietly build a probe with 2 inputs
+    with pytest.raises(TypeError, match="dim_in must be an integer, got 2.9"):
+        LinearProbe(2.9, 3, rop=lambda u: u, lop=lambda v: v)
+    with pytest.raises(TypeError, match="dim_out must be an integer, got 3.0"):
+        LinearProbe(3, 3.0, rop=lambda u: u, lop=lambda v: v)
+    assert LinearProbe(np.int64(2), 2, rop=lambda u: u, lop=lambda v: v).dim_in == 2
 
 
 def test_probe_detects_broken_adjoint():
@@ -103,6 +109,66 @@ def test_self_check_compares_every_pair():
     with pytest.raises(AdjointMismatch):
         LinearProbe(5, 3, rop=lambda x: m @ x,
                     lop=lambda y: m.T @ y + 1e-3 * u[:, 1] * (q @ y))
+
+
+def column_check_verdict(pairs, au, atv):
+    """The self-check's verdict by its former column formula, on the pairs'
+    (d, 3) columns and the products' columns: None, "not finite" or
+    "beyond 1e-11"."""
+    u, v, u_norm, v_norm = pairs
+    with np.errstate(all="ignore"):
+        au_norm, atv_norm = np.sqrt((au * au).sum(axis=0)), np.sqrt((atv * atv).sum(axis=0))
+        scale = au_norm * v_norm + u_norm * atv_norm
+        if not np.isfinite(scale).all():
+            return "not finite"
+        left, right = (au * v).sum(axis=0), (u * atv).sum(axis=0)
+        gaps = np.abs(left - right) / scale
+    # the two formulas round differently, so a gap near the bound could go
+    # either way; the strategy keeps gaps well clear of it
+    assume(np.all((gaps >= 1e-9) | (gaps <= 1e-13)))
+    return "beyond 1e-11" if (gaps > 1e-11).any() else None
+
+
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(d_in=st.integers(1, 9), d_out=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+       magnitude=st.integers(-60, 170),
+       errors=st.lists(st.one_of(st.just(0.0), st.floats(1e-16, 1e-14), st.floats(1e-8, 1.0)),
+                       min_size=3, max_size=3),
+       bad=st.one_of(st.none(), st.tuples(st.booleans(), st.integers(0, 2), _NON_FINITE)),
+       keyed=st.booleans())
+def test_row_check_raises_exactly_when_the_column_formula_does(d_in, d_out, seed, magnitude,
+                                                              errors, bad, keyed):
+    # A of norm ~10**magnitude (its squares overflow past ~1e154), lop off
+    # by errors[i] of ||A|| along a random direction on pair i, and
+    # optionally one NaN or inf entry in a product; the pairs are the
+    # keyed ones or random ones in their layout
+    rng = np.random.default_rng(seed)
+    if keyed:
+        pairs = _adjoint_check_pairs(d_in, d_out)
+    else:
+        u, v = rng.standard_normal((3, d_in)).T, rng.standard_normal((3, d_out)).T
+        pairs = u, v, np.linalg.norm(u, axis=0), np.linalg.norm(v, axis=0)
+    u, v = pairs[0], pairs[1]
+    a = rng.standard_normal((d_out, d_in)) * 10.0 ** magnitude
+    with np.errstate(over="ignore"):
+        au = a @ u
+        atv = a.T @ v + rng.standard_normal((d_in, 3)) * np.array(errors) * 10.0 ** magnitude
+    if bad is not None:
+        on_rop, pair, value = bad
+        target = au if on_rop else atv
+        target[rng.integers(len(target)), pair] = value
+    want = column_check_verdict(pairs, au, atv)
+    try:
+        with np.errstate(over="ignore"):  # both formulas overflow to an inf scale
+            spectral._check_adjoint_rows(pairs, au.T, atv.T)
+        got = None
+    except AdjointMismatch as err:
+        got = "not finite" if "not finite" in str(err) else "beyond 1e-11"
+        assert got in str(err)
+    assert got == want
 
 
 def test_cached_check_pairs_and_start_blocks_are_read_only():
@@ -307,6 +373,11 @@ def test_top_k_eigen_validates_arguments():
         top_k_eigen(p, k=2.0)
     res = top_k_eigen(p, k=np.int64(2), max_iter=np.int32(3))  # numpy integers pass
     assert res.values.shape == (2,)
+    # no residual meets a NaN or negative tol: the run would go on to max_iter
+    for tol in (np.nan, -1e-8, -np.inf):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            top_k_eigen(p, k=1, tol=tol)
+    assert top_k_eigen(p, k=1, tol=0.0, max_iter=2).iterations <= 2  # 0 is a tol
 
 
 def test_top_k_svd_matches_dense_oracle():
@@ -372,6 +443,9 @@ def test_top_k_svd_validates_arguments():
         top_k_svd(p, k=2.0)
     res = top_k_svd(matrix_probe(np.eye(3, 5)), k=np.int64(2), max_iter=np.int32(3))
     assert res.values.shape == (2,)
+    for tol in (np.nan, -1e-8, -np.inf):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            top_k_svd(p, k=1, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +716,12 @@ def test_estimators_validate_sample_count():
         frobenius_norm_mc(p, 0)
     with pytest.raises(ValueError):
         trace_mc(p, -5)
+    # a float count is refused by name, not by numpy's shape check on n * d
+    with pytest.raises(TypeError, match="n_samples must be an integer, got 1000.0"):
+        frobenius_norm_mc(p, 1000.0)
+    with pytest.raises(TypeError, match="n_samples must be an integer, got 2.5"):
+        trace_mc(p, 2.5)
+    assert frobenius_norm_mc(p, np.int64(4), seed=0) == frobenius_norm_mc(p, 4, seed=0)
 
 
 # ---------------------------------------------------------------------------
