@@ -11,7 +11,6 @@ check for the product machinery.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,12 +189,6 @@ def materialize_affine_direct(net: Network, x: np.ndarray,
     return AffineMap(a=a.copy(), b=b.copy())
 
 
-@functools.lru_cache(maxsize=8)
-def _identity(d: int) -> np.ndarray:
-    """I_d, built once per d and shared read-only."""
-    return numerics.read_only(np.eye(d))[0]
-
-
 def narrow_side_slope(net: Network, state: FrozenState) -> np.ndarray:
     """The slope A (d_out, d_in) of the region recorded in state, from the
     narrow side of the map.
@@ -204,12 +197,11 @@ def narrow_side_slope(net: Network, state: FrozenState) -> np.ndarray:
     mode). Its seed is I_{d_out}, or a Dense output node's weights W,
     which a hook passes on past the node's step: that saves d_out² ·
     (W's d_in) multiply-adds and, for finite W, keeps the bits of I W
-    but for a -0.0 of W, which I W makes +0.0. Otherwise one linear
-    forward pass over the rows of I_{d_in} gives the columns of A
-    (forward mode). Either way the seed holds at most min(d_in, d_out)
-    rows, and A is never the difference of two affine outputs. An
-    identity seed comes from a read-only cache of the last 8 sizes, and
-    A never shares memory with its seed.
+    but for a -0.0 of W, which I W makes +0.0. A never shares memory
+    with W. Otherwise one linear forward pass over the rows of I_{d_in}
+    gives the columns of A (forward mode). Either way the seed holds at
+    most min(d_in, d_out) rows, and A is never the difference of two
+    affine outputs.
     """
     plan = net.plan
     d_in, d_out = plan.d_in, plan.d_out
@@ -218,13 +210,11 @@ def narrow_side_slope(net: Network, state: FrozenState) -> np.ndarray:
         if isinstance(head, Dense):  # skip the head: its step makes W of I_{d_out}
             seed, hook = head.weights, lambda nid, spec, g: [g] if nid == net.output else None
         else:
-            seed, hook = _identity(d_out).reshape((d_out,) + plan.out_shape), None
-        a = _transposed_pass(net, state, seed, hook).reshape(d_out, d_in)
-    else:
-        seed = _identity(d_in).reshape((d_in,) + net.input_shape)
-        out, _ = _forward_pass(net, seed, 0, state)
-        a = np.ascontiguousarray(out.reshape(d_in, d_out).T)
-    return a.copy() if np.may_share_memory(a, seed) else a
+            seed, hook = np.eye(d_out).reshape((d_out,) + plan.out_shape), None
+        rows = _transposed_pass(net, state, seed, hook).reshape(d_out, d_in)
+        return rows.copy() if np.may_share_memory(rows, seed) else rows
+    out, _ = _forward_pass(net, np.eye(d_in).reshape((d_in,) + net.input_shape), 0, state)
+    return np.ascontiguousarray(out.reshape(d_in, d_out).T)
 
 
 def materialize_affine_via_rop(net: Network, x: np.ndarray,

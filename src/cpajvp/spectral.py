@@ -28,20 +28,11 @@ class AdjointMismatch(RuntimeError):
     """Raised when a probe's two products fail the adjoint identity."""
 
 
-def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 @functools.lru_cache(maxsize=64)
 def _adjoint_check_pairs(dim_in: int, dim_out: int):
     """The three keyed pairs of the adjoint self-check at these dims, as
-    columns of u (dim_in, 3) and v (dim_out, 3), with their column
-    norms; drawn once per dims and shared read-only. u and v are
-    transposed views of C-contiguous rows, so u.T and v.T are the pairs
-    in the engines' batch layout at no cost."""
+    columns of u (dim_in, 3) and v (dim_out, 3) over C-contiguous rows,
+    with their column norms; drawn once per dims and shared read-only."""
     rng = keyed_rng("probe-adjoint-check", dim_in, dim_out)
     pairs = [(rng.standard_normal(dim_in), rng.standard_normal(dim_out))
              for _ in range(3)]
@@ -143,6 +134,15 @@ class LinearProbe:
         return out
 
 
+def _as_batch(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The columns of a block as an engine batch."""
+    return a.T.reshape((-1,) + shape)
+
+
+def _as_columns(batch: np.ndarray) -> np.ndarray:
+    return batch.reshape(len(batch), -1).T
+
+
 def probe_from_network(net: Network, x: np.ndarray,
                        check_adjoint: bool = True) -> LinearProbe:
     """Probe for the region at x: one state recording shared by every
@@ -180,10 +180,10 @@ def probe_from_network(net: Network, x: np.ndarray,
     batch = _single(net, x)
     if check_adjoint:
         pairs = _adjoint_check_pairs(plan.d_in, plan.d_out)
-        batch = np.concatenate([batch, pairs[0].T.reshape((3,) + in_shape)])
+        batch = np.concatenate([batch, _as_batch(pairs[0], in_shape)])
     out, state = _forward_pass(net, batch, 1)
     if check_adjoint:
-        atv = _transposed_pass(net, state, pairs[1].T.reshape((3,) + out_shape))
+        atv = _transposed_pass(net, state, _as_batch(pairs[1], out_shape))
         _check_adjoint_rows(pairs, out[1:].reshape(3, -1), atv.reshape(3, -1))
     kept = []  # the region's map A, once built
     wide = math.inf  # rop blocks wider than this read A
@@ -196,13 +196,12 @@ def probe_from_network(net: Network, x: np.ndarray,
             if not kept:
                 kept.append(read_only(narrow_side_slope(net, state))[0])
             return kept[0] @ u
-        out, _ = _forward_pass(net, u.T.reshape((-1,) + in_shape), 0, state)
-        return out.reshape(len(out), -1).T  # the engine's rows as columns
+        out, _ = _forward_pass(net, _as_batch(u, in_shape), 0, state)
+        return _as_columns(out)
 
     def lop(v: np.ndarray) -> np.ndarray:
         check_finite(v, "cotangent")
-        atv = _transposed_pass(net, state, v.T.reshape((-1,) + out_shape))
-        return atv.reshape(len(atv), -1).T
+        return _as_columns(_transposed_pass(net, state, _as_batch(v, out_shape)))
 
     return LinearProbe(plan.d_in, plan.d_out, rop, lop, check_adjoint=False, blocks=True)
 
@@ -345,6 +344,13 @@ class _KrylovBasis:
         self.vectors[:, :self.size] = vectors
         self.images[:, :self.size] = images
         self.newest = slice(0, self.size)
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_iteration_args(k, k_max: int, max_iter, tol) -> tuple[int, int]:
