@@ -11,14 +11,16 @@ decisions pinned.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from .network import (
-    FrozenState, GraphError, Network, ShapeMismatch, _checked, _forward_pass,
-    _single, _transposed_pass, record_states,
+    Dense, FrozenState, GraphError, Network, ShapeMismatch, _checked, _forward_pass,
+    _shaped, _single, _transposed_pass, record_states,
 )
+from .numerics import _vdot, check_finite
 
 
 def _check_state(net: Network, state: FrozenState) -> None:
@@ -88,6 +90,18 @@ def vjp_input(net: Network, x: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # weight directions
 
+# as a decorator, errstate sets the error state faster than a `with`
+@np.errstate(invalid="ignore")
+def _dense_tangent(x0: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """x0 U^T as Dense.apply takes it, U checked for NaN and inf: with no 0
+    in x0 such an entry makes the product non-finite on any BLAS, so U is
+    read only where x0 holds a 0 or the product is not finite."""
+    t = x0.dot(u.T)
+    if np.count_nonzero(x0) < x0.size or not math.isfinite(_vdot(t, t)):
+        check_finite(u, "direction")
+    return t
+
+
 def jvp_weight(net: Network, x: np.ndarray, node_id: str,
                direction: np.ndarray) -> np.ndarray:
     """Derivative of the output in a weight direction U at one node.
@@ -99,7 +113,10 @@ def jvp_weight(net: Network, x: np.ndarray, node_id: str,
     to the node's input on slice 0. Downstream, slice 1 is linear, and
     branches that bypass the target carry zeros. The region is slice
     0's; at a pre-activation within rounding of 0 it may differ from
-    record_states' region at x alone.
+    record_states' region at x alone. A NaN or inf in U raises
+    NonFiniteInput: a Conv2D U is checked before the pass, a Dense one by
+    its product at the target (``_dense_tangent``); a finite U whose
+    product overflows goes through.
     """
     target = net.plan.by_id.get(node_id)
     if target is None:
@@ -108,14 +125,18 @@ def jvp_weight(net: Network, x: np.ndarray, node_id: str,
     if name is None:
         raise GraphError(f"node {node_id!r} is {type(target.layer).__name__}, "
                          f"weight directions need a Dense or Conv2D node")
-    direction = _checked(direction, getattr(target.layer, name).shape, "direction",
-                         f"node {node_id!r} weights")
-    tangent = replace(target.layer, **{name: direction})
+    direction = _shaped(direction, getattr(target.layer, name).shape, "direction",
+                        f"node {node_id!r} weights")
+    if not (dense := isinstance(target.layer, Dense)):
+        check_finite(direction, "direction")
+        tangent = replace(target.layer, **{name: direction})
 
     def add_tangent(nid, spec, ins):
         if nid == node_id:
             out = spec.apply(nid, ins, 1, None, False)
-            out[1:] = tangent.apply(nid, [ins[0][:1]], 0, None, False)
+            x0 = ins[0][:1]
+            out[1:] = (_dense_tangent(x0, direction) if dense
+                       else tangent.apply(nid, [x0], 0, None, False))
             return out
 
     x = _single(net, x)

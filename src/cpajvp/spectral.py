@@ -40,6 +40,9 @@ def _adjoint_check_pairs(dim_in: int, dim_out: int):
     return read_only(u, v, np.linalg.norm(u, axis=0), np.linalg.norm(v, axis=0))
 
 
+# the squares and inner products are diagonals of 3x3 products, whose unread
+# other entries may be NaN; as a decorator, errstate is faster than a `with`
+@np.errstate(invalid="ignore")
 def _check_adjoint_rows(pairs, au: np.ndarray, atv: np.ndarray) -> None:
     """Raise AdjointMismatch unless <A u, v> == <u, A^T v> on each check
     pair to 1e-11 of the Cauchy-Schwarz scale ||A u|| ||v|| +
@@ -47,16 +50,14 @@ def _check_adjoint_rows(pairs, au: np.ndarray, atv: np.ndarray) -> None:
     and atv (3, dim_in) hold the products of the pairs as rows. A
     non-finite scale on any pair is reported before a gap on any other."""
     u, v, u_norm, v_norm = pairs
-    u_norm, v_norm = u_norm.tolist(), v_norm.tolist()
-    scales = []
-    for i in range(3):  # indexing rows is faster than iterating over them
-        a, t = au[i], atv[i]
-        scales.append(math.sqrt(a.dot(a)) * v_norm[i] + u_norm[i] * math.sqrt(t.dot(t)))
+    au_sq, atv_sq = au.dot(au.T).tolist(), atv.dot(atv.T).tolist()
+    scales = [math.sqrt(au_sq[i][i]) * v_i + u_i * math.sqrt(atv_sq[i][i])
+              for i, (u_i, v_i) in enumerate(zip(u_norm.tolist(), v_norm.tolist()))]
     if not all(map(math.isfinite, scales)):  # a NaN or inf gap compares false
         raise AdjointMismatch(f"the check's scale is not finite: {scales!r}")
-    u, v = u.T, v.T
+    lefts, rights = au.dot(v).tolist(), atv.dot(u).tolist()
     for i, scale in enumerate(scales):
-        left, right = float(au[i].dot(v[i])), float(u[i].dot(atv[i]))
+        left, right = lefts[i][i], rights[i][i]
         if abs(left - right) > 1e-11 * scale:
             raise AdjointMismatch(f"<A u, v> = {left!r} but <u, A^T v> = {right!r}, "
                                   f"beyond 1e-11 of the scale {scale!r}")

@@ -301,13 +301,15 @@ def test_acceptance_10_performance_trends(capsys):
             medians[k] = by_name["batch-jacobian"].median_s
             clone_medians[k] = by_name["clone"].median_s
             assert by_name["batch-jacobian"].passes.transposed == k
-        assert medians[256] >= 5.0 * medians[1], medians
+        # every failure message carries the clone spread and its medians
         spread = max(clone_medians.values()) / min(clone_medians.values())
-        assert spread <= 1.5, clone_medians
+        clones = f"clone spread {spread:.3f} over k, clone medians (s) {clone_medians}"
+        assert medians[256] >= 5.0 * medians[1], f"batch-jacobian medians {medians}; {clones}"
+        assert spread <= 1.5, clones
         net256 = fixtures.with_dense_head(body, 256, seed=51)
         fwd = benchmark_forward(net256, x, repetitions=reps, warmup=warm)
         assert clone_medians[256] <= 4.0 * fwd.median_s, \
-            (clone_medians[256], fwd.median_s)
+            f"forward median {fwd.median_s} s; {clones}"
 
 
 def test_acceptance_11_format_fidelity(capsys, tmp_path):

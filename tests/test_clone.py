@@ -12,6 +12,7 @@ from cpajvp import (Add, Conv2D, Dense, Dropout, GraphError, MaxPool, Network, N
                     materialize_affine_via_rop, probe_from_network,
                     record_states, strategy_batch_jacobian, strategy_clone,
                     strategy_double_vjp, vjp_input)
+from cpajvp.network import _forward_pass
 
 ALL_ARCHS = fixtures.ARCHITECTURES
 
@@ -398,3 +399,120 @@ def test_non_finite_weight_direction_raises():
     direction[0, 0, 0, 0] = np.nan
     with pytest.raises(NonFiniteInput, match="direction"):
         jvp_weight(net, x, target.id, direction)
+
+
+# ---------------------------------------------------------------------------
+# where jvp_weight checks its direction: a Dense direction through its
+# product with the target's input x0 (read itself only when x0 holds a zero
+# or the product is not finite), a Conv2D one directly
+
+def edge_net(name):
+    """(net, x) of a certification case: a family at scale 2, the 512-wide
+    chain body of the benchmark, or a ReLU chain whose deeper Dense inputs
+    hold exact zeros."""
+    if name == "chain512":
+        x = fixtures._rng(50, "accept-bench-x").standard_normal(512)
+        return nets.dense_relu_chain(50, [512, 512, 512], leakiness=0.1), x
+    if name == "relu-chain":
+        x = np.random.default_rng(60).standard_normal(12)
+        return nets.dense_relu_chain(60, [12, 12, 12, 12]), x
+    return fixtures.generate(name, 0, scale=2)
+
+
+EDGE_CASES = [(arch, n.id) for arch in ALL_ARCHS for n in edge_net(arch)[0].nodes
+              if hasattr(n.layer, "weight_field")]
+EDGE_CASES += [("chain512", "fc1"), ("relu-chain", "fc2"), ("relu-chain", "fc3")]
+
+
+def target_input(net, x, node_id):
+    """The target's input on slice 0, as one flat sample."""
+    seen = []
+
+    def hook(nid, spec, ins):
+        if nid == node_id:
+            seen.append(ins[0][0].reshape(-1))
+    _forward_pass(net, x[None], 1, hook=hook)
+    return seen[0]
+
+
+def jvp_weight_by_layer_copy(net, x, node_id, direction):
+    """jvp_weight's pass with the tangent taken by a copy of the target layer
+    that holds the direction, and no check of the direction."""
+    layer = net.plan.by_id[node_id].layer
+    tangent = dataclasses.replace(layer, **{layer.weight_field: direction})
+
+    def hook(nid, spec, ins):
+        if nid == node_id:
+            out = spec.apply(nid, ins, 1, None, False)
+            out[1:] = tangent.apply(nid, [ins[0][:1]], 0, None, False)
+            return out
+    out, _ = _forward_pass(net, np.stack([x, np.zeros_like(x)]), 1, hook=hook)
+    return out[1]
+
+
+@pytest.mark.parametrize("name,node_id", EDGE_CASES)
+def test_non_finite_weight_directions_raise_at_every_weighted_node(name, node_id):
+    # NaN, +inf, -inf, or +inf and -inf in one row (one filter of a conv),
+    # at random entries and, where x0 has exact zeros, at columns that meet
+    # them, where the product cannot see the entry; the suite turns a
+    # RuntimeWarning into an error, so none may come first
+    net, x = edge_net(name)
+    layer = net.plan.by_id[node_id].layer
+    weights = getattr(layer, layer.weight_field)
+    x0 = target_input(net, x, node_id)
+    zeros = np.flatnonzero(x0 == 0)
+    if name == "relu-chain":
+        assert len(zeros) >= 2, x0
+    rng = np.random.default_rng(len(node_id))
+    finite = rng.standard_normal(weights.shape)
+    assert np.array_equal(jvp_weight(net, x, node_id, finite),
+                          jvp_weight_by_layer_copy(net, x, node_id, finite))
+    # a Dense direction is (d_out, d_in), a conv's (kh, kw, C, F): a row
+    # holds one output's weights, and a column meets one entry of x0
+    rows = finite.reshape(-1, finite.shape[-1]).T if isinstance(layer, Conv2D) else finite
+    placements = [rng.choice(rows.shape[1], 2, replace=False)]
+    if isinstance(layer, Dense) and len(zeros) >= 2:
+        placements.append(zeros[:2])
+    for cols in placements:
+        row = rng.integers(len(rows))
+        for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]):
+            direction = rows.copy()
+            direction[row, cols[:len(bad)]] = bad
+            if isinstance(layer, Conv2D):
+                direction = direction.T.reshape(weights.shape)
+            with pytest.raises(NonFiniteInput, match="^direction contains"):
+                jvp_weight(net, x, node_id, direction)
+
+
+@pytest.mark.parametrize("name,node_id", [("mlp", "fc0"), ("chain512", "fc1"), ("cnn", "conv1")])
+def test_a_finite_direction_whose_product_overflows_goes_through(name, node_id):
+    # not bad input: the overflow warns as any overflowing product does,
+    # and the result is the unchecked pass's
+    net, x = edge_net(name)
+    layer = net.plan.by_id[node_id].layer
+    weights = getattr(layer, layer.weight_field)
+    direction = np.where(np.random.default_rng(3).random(weights.shape) < 0.5, -1e308, 1e308)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        jvp_weight(net, x, node_id, direction)
+    with np.errstate(all="ignore"):
+        got = jvp_weight(net, x, node_id, direction)
+        want = jvp_weight_by_layer_copy(net, x, node_id, direction)
+    assert not np.isfinite(got).all()
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("name,node_id,reads", [("chain512", "fc1", False), ("mlp", "fc0", False),
+                                               ("relu-chain", "fc2", True), ("mlp", "fc1", True),
+                                               ("cnn", "conv1", True)])
+def test_a_finite_direction_is_read_only_where_its_product_cannot_vouch_for_it(
+        name, node_id, reads, monkeypatch):
+    # a BLAS may skip a zero entry of x0 and never multiply the direction's
+    # column it meets, so a zero in x0 (or a conv target) reads the direction
+    import cpajvp.clone
+    net, x = edge_net(name)
+    layer = net.plan.by_id[node_id].layer
+    assert (target_input(net, x, node_id) == 0).any() == (reads and isinstance(layer, Dense))
+    checked = []
+    monkeypatch.setattr(cpajvp.clone, "check_finite", lambda a, what: checked.append(what))
+    jvp_weight(net, x, node_id, np.ones_like(getattr(layer, layer.weight_field)))
+    assert checked == (["direction"] if reads else [])
