@@ -72,14 +72,15 @@ class BenchReport:
 # ---------------------------------------------------------------------------
 # strategies
 
-def strategy_batch_jacobian(net: Network, x: np.ndarray, u: np.ndarray,
-                            row_budget: int = 4096) -> np.ndarray:
+_MAX_JACOBIAN_ROWS = 4096  # batch-jacobian refuses nets with more outputs
+
+
+def strategy_batch_jacobian(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """J u by stacking all d_out Jacobian rows from transposed replays."""
     u = _single(net, u, "direction")
     out_shape, d_out = net.plan.out_shape, net.plan.d_out
-    if d_out > row_budget:
-        raise BudgetExceeded(f"{d_out} Jacobian rows exceed the row budget "
-                             f"{row_budget}")
+    if d_out > _MAX_JACOBIAN_ROWS:
+        raise BudgetExceeded(f"{d_out} Jacobian rows exceed the row budget {_MAX_JACOBIAN_ROWS}")
     _, state = record_states(net, x)
     rows = np.empty((d_out, net.plan.d_in))
     e = np.zeros(d_out)

@@ -8,6 +8,7 @@ weights, exceeded budgets, strategy disagreement).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +31,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent: it takes -1e-8 for an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
@@ -112,8 +118,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--warmup", type=int, default=5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--csv", help="CSV destination (stdout if omitted)")
-    sp.add_argument("--no-forward", action="store_true",
-                    help="skip the forward-pass baseline rows")
 
     sp = sub.add_parser("gen", help="generate a seeded fixture network")
     sp.set_defaults(run=_cmd_gen)
@@ -193,19 +197,11 @@ def _cmd_bench(args) -> int:
         nets = [base]
     x = read_tensor(args.x) if args.x else _seeded_input(base, args.seed, "bench-x")
     u = read_tensor(args.u) if args.u else _seeded_input(base, args.seed, "bench-u")
-    reports = []
+    reports, timing = [], {"repetitions": args.reps, "warmup": args.warmup}
     for net in nets:
-        reports.extend(bench_mod.run_benchmark(net, x, u,
-                                               repetitions=args.reps,
-                                               warmup=args.warmup))
-        if not args.no_forward:
-            reports.append(bench_mod.benchmark_forward(net, x,
-                                                       repetitions=args.reps,
-                                                       warmup=args.warmup))
-    if args.csv:
-        bench_mod.reports_to_csv(reports, args.csv)
-    else:
-        bench_mod.reports_to_csv(reports, sys.stdout)
+        reports += bench_mod.run_benchmark(net, x, u, **timing)
+        reports.append(bench_mod.benchmark_forward(net, x, **timing))
+    bench_mod.reports_to_csv(reports, args.csv or sys.stdout)
     return 0
 
 

@@ -71,7 +71,7 @@ class LinearProbe:
     a caller groups its products. With blocks set, the wrapped callables
     receive only (dim, k) blocks, a vector as a one-column block, and
     must return a (dim_out, k) block; otherwise they are called once per
-    vector or column. The two callables must be adjoint to each other;
+    column. The two callables must be adjoint to each other;
     construction spot checks <A u, v> == <u, A^T v> on three seeded
     random pairs and raises AdjointMismatch when the gap exceeds 1e-11
     of the Cauchy-Schwarz scale ||A u|| ||v|| + ||u|| ||A^T v||, or that
@@ -90,9 +90,8 @@ class LinearProbe:
                                 f"({dim_in}, {dim_out})")
         self.dim_in = dim_in
         self.dim_out = dim_out
-        self._rop = rop
-        self._lop = lop
-        self.blocks = blocks
+        self._rop = rop if blocks else _by_columns(rop, "rop")
+        self._lop = lop if blocks else _by_columns(lop, "lop")
         self.rop_calls = 0
         self.lop_calls = 0
         if check_adjoint:
@@ -110,13 +109,10 @@ class LinearProbe:
         if len(shape) not in (1, 2) or shape[0] != n_in or shape[1:] == (0,):
             raise ShapeMismatch(f"{name} takes a length-{n_in} vector or an "
                                 f"({n_in}, k) block with k >= 1, got {shape}")
-        if len(shape) == 1 or self.blocks:
-            out = fn(a.reshape(n_in, 1) if self.blocks and len(shape) == 1 else a)
-            if type(out) is not np.ndarray or out.dtype is not _F64:
-                check_real(out, f"{name} result")
-                out = np.asarray(out, dtype=np.float64)
-        else:
-            out = np.stack([self._product(fn, c, n_in, n_out, name)[0] for c in a.T], axis=1)
+        out = fn(a if len(shape) == 2 else a.reshape(n_in, 1))  # a vector is one column
+        if type(out) is not np.ndarray or out.dtype is not _F64:
+            check_real(out, f"{name} result")
+            out = np.asarray(out, dtype=np.float64)
         if len(shape) == 1 and out.size == n_out:
             out = out.reshape(n_out)
         if out.shape != (n_out, *shape[1:]):
@@ -135,6 +131,17 @@ class LinearProbe:
         return out
 
 
+def _by_columns(fn, name: str):
+    """fn, which takes one vector, as a block callable: its flattened
+    results on the columns, stacked as columns."""
+    def per_column(block: np.ndarray):
+        outs = [np.ravel(fn(c)) for c in block.T]
+        if len(shapes := {o.shape for o in outs}) > 1:  # np.stack raises a bare ValueError
+            raise ShapeMismatch(f"{name} returned shapes {sorted(shapes)} per column")
+        return np.stack(outs, axis=1)
+    return per_column
+
+
 def _as_batch(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The columns of a block as an engine batch."""
     return a.T.reshape((-1,) + shape)
@@ -144,12 +151,11 @@ def _as_columns(batch: np.ndarray) -> np.ndarray:
     return batch.reshape(len(batch), -1).T
 
 
-def probe_from_network(net: Network, x: np.ndarray,
-                       check_adjoint: bool = True) -> LinearProbe:
+def probe_from_network(net: Network, x: np.ndarray) -> LinearProbe:
     """Probe for the region at x: one state recording shared by every
     subsequent product call.
 
-    Construction is one recording pass and, with the self-check, one
+    Construction, self-check included, is one recording pass and one
     transposed pass. The three check rows u ride behind x in the
     recording pass, linear (the additive terms reach x alone), and come
     out as A u; the transposed pass over the check's v rows gives A^T v. So
@@ -158,7 +164,7 @@ def probe_from_network(net: Network, x: np.ndarray,
     one slice 0 of the recording batch decides, as for ``jvp_weight``
     and ``materialize_affine_via_rop``: where a pre-activation at x is
     within rounding of 0 it can be the neighbouring region of the one
-    ``record_states`` takes. Without the check x is recorded alone.
+    ``record_states`` takes.
 
     The product path follows from shapes alone. Every lop, every vector
     and every rop block of at most min(d_in, d_out) columns takes one
@@ -178,14 +184,11 @@ def probe_from_network(net: Network, x: np.ndarray,
     """
     plan = net.plan
     in_shape, out_shape = net.input_shape, plan.out_shape
-    batch = _single(net, x)
-    if check_adjoint:
-        pairs = _adjoint_check_pairs(plan.d_in, plan.d_out)
-        batch = np.concatenate([batch, _as_batch(pairs[0], in_shape)])
-    out, state = _forward_pass(net, batch, 1)
-    if check_adjoint:
-        atv = _transposed_pass(net, state, _as_batch(pairs[1], out_shape))
-        _check_adjoint_rows(pairs, out[1:].reshape(3, -1), atv.reshape(3, -1))
+    x = _single(net, x)
+    pairs = _adjoint_check_pairs(plan.d_in, plan.d_out)
+    out, state = _forward_pass(net, np.concatenate([x, _as_batch(pairs[0], in_shape)]), 1)
+    atv = _transposed_pass(net, state, _as_batch(pairs[1], out_shape))
+    _check_adjoint_rows(pairs, out[1:].reshape(3, -1), atv.reshape(3, -1))
     kept = []  # the region's map A, once built
     wide = math.inf  # rop blocks wider than this read A
     if plan.d_in * plan.d_out <= plan.slice_mults:
@@ -270,12 +273,6 @@ def _lapack_calls(gufuncs) -> dict[str, Callable]:
 
 _umath_linalg = getattr(np.linalg, "_umath_linalg", None)  # numpy.linalg's gufuncs
 _LAPACK = _lapack_calls(_umath_linalg)
-
-
-def _lapack_path() -> str:
-    """Which way the loop's LAPACK calls go on this numpy, for logs."""
-    public = [name for name in _LAPACK if getattr(_umath_linalg, name, None) is None]
-    return ("numpy.linalg fallback for " + ", ".join(public)) if public else "gufunc"
 
 
 def _frobenius(a: np.ndarray) -> float:

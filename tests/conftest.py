@@ -27,11 +27,15 @@ def _openblas(name: str, restype):
 
 
 def _lapack_path() -> str:
+    """Which way the Krylov loop's LAPACK calls go on this numpy: the
+    numpy.linalg gufuncs, or the public functions for the names this
+    numpy's gufunc module lacks."""
     try:
-        from cpajvp.spectral import _lapack_path
+        from cpajvp.spectral import _LAPACK, _umath_linalg
     except ImportError:  # the package is not on the path
         return "unknown"
-    return _lapack_path()
+    public = [name for name in _LAPACK if getattr(_umath_linalg, name, None) is None]
+    return ("numpy.linalg fallback for " + ", ".join(public)) if public else "gufunc"
 
 
 def _environment() -> str:

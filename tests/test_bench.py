@@ -97,9 +97,11 @@ def test_clone_scans_x_and_u_once(monkeypatch):
 
 
 def test_batch_jacobian_row_budget():
+    # the budget is 4096 rows: a net with one output more is refused
     net, x, u = bench_instance("mlp", 0)
-    with pytest.raises(BudgetExceeded):
-        strategy_batch_jacobian(net, x, u, row_budget=1)
+    wide = fixtures.with_dense_head(net, 4097, 0)
+    with pytest.raises(BudgetExceeded, match="4097 Jacobian rows exceed the row budget 4096"):
+        strategy_batch_jacobian(wide, x, u)
 
 
 def test_run_benchmark_reports():

@@ -161,6 +161,21 @@ def test_spectral_commands_refuse_a_tol_no_residual_meets(netdir, capsys, tol):
     assert "tol must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eigen", "svd"])
+def test_spectral_commands_read_a_negative_exponent_as_a_value(tmp_path, capsys, command):
+    # argparse's own negative-number pattern has no exponent: it took
+    # -1e-8 for an option and stopped at "expected one argument"
+    d = square_netdir(tmp_path)
+    args = [command, "--net", d / "net.json", "--x", d / "x.ten", "--max-iter", "3"]
+    for tol in ("-1e-8", "-2.5E+3"):
+        assert run(args + ["--k", "1", "--tol", tol]) == 2
+        assert "tol must be >= 0" in capsys.readouterr().err
+    assert run(args + ["--k", "-1", "--tol", "1e-8"]) == 2
+    assert "k must be in [1, 8], got -1" in capsys.readouterr().err
+    assert run(args + ["--k", "1", "--tol", "1e-8"]) == 0
+    assert "values:" in capsys.readouterr().out
+
+
 def test_svd_writes_triplet_files(netdir, tmp_path, capsys):
     vals = tmp_path / "s.ten"
     left = tmp_path / "u.ten"
@@ -236,16 +251,6 @@ def test_k_sweep_flattens_an_image_output(tmp_path, capsys, output):
     head = fixtures.with_dense_head(net, 3, 0)
     assert [n.id for n in head.nodes[-2:]] == ["sweep_flat", "sweep_head"]
     assert head.plan.out_shape == (3,)
-
-
-def test_bench_no_forward_skips_baseline(netdir, tmp_path):
-    csv_path = tmp_path / "b.csv"
-    code = run(["bench", "--net", netdir / "net.json", "--reps", "10",
-                "--warmup", "0", "--no-forward", "--csv", csv_path])
-    assert code == 0
-    body = [ln for ln in csv_path.read_text().splitlines()[1:] if ln]
-    assert len(body) == 3
-    assert all(not ln.startswith("forward") for ln in body)
 
 
 def test_bench_rejects_bad_k_sweep(netdir, capsys):

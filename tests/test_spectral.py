@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import functools
 import os
 import subprocess
 import sys
@@ -257,9 +256,17 @@ def test_probe_refuses_complex_results(blocks):
     p = LinearProbe(2, 2, rop, lop, check_adjoint=False, blocks=blocks)
     with pytest.raises(ValueError, match="^rop result is complex"):
         p.rop(np.ones(2))
+    with pytest.raises(ValueError, match="^rop result is complex"):
+        p.rop(np.ones((2, 3)))
     with pytest.raises(ValueError, match="^lop result is complex"):
         p.lop(np.ones((2, 3)))
     assert p.rop_calls == p.lop_calls == 0
+    # called per column, one complex column among real ones
+    p = LinearProbe(2, 2, lambda u: u * (1 + 1j) if u[0] < 0 else u, lambda v: v,
+                    check_adjoint=False)
+    with pytest.raises(ValueError, match="^rop result is complex"):
+        p.rop(np.array([[1.0, -1.0, 1.0], [1.0, 1.0, 1.0]]))
+    assert p.rop_calls == 0
 
 
 def test_probe_calls_vector_callables_once_per_column():
@@ -282,6 +289,32 @@ def test_block_probe_rejects_a_batch_first_result():
     assert p.rop(np.ones(6)).shape == (4,)
     with pytest.raises(ShapeMismatch, match="returned shape"):
         p.rop(np.ones((6, 3)))
+    # called per column: every column short, or one short among whole ones
+    short, ragged = (lambda u: (m @ u)[:3]), (lambda u: (m @ u)[:3] if u[0] < 0 else m @ u)
+    with pytest.raises(ShapeMismatch, match="returned shape"):
+        LinearProbe(6, 4, rop=short, lop=lambda v: m.T @ v)
+    u = np.ones((6, 3))
+    u[0, 1] = -1.0
+    for rop in (short, ragged):
+        p = LinearProbe(6, 4, rop=rop, lop=lambda v: m.T @ v, check_adjoint=False)
+        with pytest.raises(ShapeMismatch, match="returned shape"):
+            p.rop(u)
+        assert p.rop_calls == 0
+    with pytest.raises(ShapeMismatch, match="returned shape"):
+        p.rop(u[:, 1])
+    assert p.rop(u[:, [0, 2]]).shape == (4, 2)
+
+
+def test_per_column_results_of_any_shape_holding_dim_out_entries_pass():
+    # each column's result is flattened before the columns are stacked
+    m = np.random.default_rng(8).standard_normal((4, 6))
+    u = np.random.default_rng(9).standard_normal((6, 3))
+    for rop in (lambda u: m @ u[:, None], lambda u: (m @ u)[None, :]):
+        p = LinearProbe(6, 4, rop=rop, lop=lambda v: m.T @ v)
+        assert np.array_equal(p.rop(u), np.stack([m @ c for c in u.T], axis=1))
+        assert np.array_equal(p.rop(u[:, 0]), m @ u[:, 0])
+    p = LinearProbe(6, 1, rop=lambda u: float(m[0] @ u), lop=lambda v: m[0] * v[0])
+    assert p.rop(u).shape == (1, 3)
 
 
 def test_block_callables_get_blocks_and_a_vector_is_a_one_column_block():
@@ -1259,10 +1292,6 @@ def test_construction_is_one_recording_and_one_transposed_pass(name, net, x, eng
     p = probe_from_network(net, x)
     assert engine_spy == {"rop": [1 + 3], "lop": [3], "maps": 0}
     assert (p.rop_calls, p.lop_calls) == (0, 0)
-    clear(engine_spy)
-    p = probe_from_network(net, x, check_adjoint=False)
-    assert engine_spy == {"rop": [1], "lop": [], "maps": 0}
-    assert (p.rop_calls, p.lop_calls) == (0, 0)
 
 
 REGION_CASES = [(f"{arch}-{seed}",) + fixtures.generate(arch, seed, scale=2)
@@ -1279,12 +1308,3 @@ def test_fused_recording_keeps_the_region_of_x(name, net, x):
     assert np.array_equal(p.rop(u.reshape(-1)), jvp_input(net, x, u).reshape(-1))
     v = rng.standard_normal(net.plan.out_shape)
     assert np.array_equal(p.lop(v.reshape(-1)), vjp_input(net, x, v).reshape(-1))
-    # a checked probe (x recorded with the check's columns) and an
-    # unchecked one (x alone) give the same estimates, bit for bit
-    unchecked = functools.partial(probe_from_network, check_adjoint=False)
-    for n in (7, 50):
-        assert frobenius_norm_mc(probe_from_network(net, x), n, seed=n) == \
-            frobenius_norm_mc(unchecked(net, x), n, seed=n)
-        if net.plan.d_in == net.plan.d_out:
-            assert trace_mc(probe_from_network(net, x), n, seed=n) == \
-                trace_mc(unchecked(net, x), n, seed=n)

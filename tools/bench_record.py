@@ -11,6 +11,10 @@ comparable with the others. It keeps each run's ``environment``,
 op counts. Per workload it writes the median and quartiles of every
 end-to-end metric over the seeds.
 
+Each side's ``src/`` must match its checkout's HEAD (``git status
+--porcelain -- src`` prints nothing), so that the record names the code
+it measured; otherwise the script exits before any run.
+
 With ``--baseline DIR`` (a checkout of the commit to compare against)
 the same seeds run there too, in pairs that alternate which side runs
 first, and the file gains the baseline's runs and a comparison per
@@ -33,10 +37,19 @@ SEEDS = tuple(range(1001, 1011))
 KEPT = ("environment", "end_to_end", "wall_clock")
 
 
+def require_clean_src(checkout: Path) -> None:
+    """Exit unless the checkout's src/, untracked files included, is its
+    HEAD's."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout,
+                          capture_output=True, text=True)
+    if proc.returncode or proc.stdout:
+        raise SystemExit(f"refusing to measure {checkout}: its src/ must match its HEAD "
+                         f"(git status --porcelain -- src):\n{proc.stdout or proc.stderr}")
+
+
 def tree_id(checkout: Path) -> dict:
     """The checkout's HEAD, whether its tracked files differ from it, and
-    a digest of the library source, which names the code even before a
-    commit exists."""
+    a digest of the library source."""
     def git(*args):
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
                               text=True, check=True).stdout.strip()
@@ -107,6 +120,8 @@ def main(argv=None) -> int:
     sides = {"change": ROOT}
     if args.baseline is not None:
         sides["baseline"] = args.baseline.resolve()
+    for checkout in sides.values():
+        require_clean_src(checkout)
     runs = {side: [] for side in sides}
     for i, (workload, seed) in enumerate((w, s) for w in workloads for s in SEEDS):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
